@@ -369,36 +369,11 @@ func BenchmarkInterpretCompress(b *testing.B) {
 	b.ReportMetric(float64(steps), "blocks/run")
 }
 
-// BenchmarkInterpretCompressTree is the same run forced onto the
-// reference tree-walking evaluator — the committed trajectory keeps
-// both engines so the gap the bytecode lowering buys stays visible
-// (and a silent fallback to the tree path would show up as a cliff).
-func BenchmarkInterpretCompressTree(b *testing.B) {
-	prog, err := suite.ByName("compress")
-	if err != nil {
-		b.Fatal(err)
-	}
-	u, err := prog.CompileCached()
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := prog.Inputs[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := u.Run(staticest.RunOptions{
-			Args: in.Args, Stdin: in.Stdin, Engine: staticest.EngineTree,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReuseTrace measures the memory-trace overhead on compress:
-// "off" is a run with tracing disabled — the default path, whose only
-// cost is a nil-map test per candidate access, pinned at parity with
-// BenchmarkInterpretCompress — and "on" pays for trace collection plus
-// the O(n log n) stack-distance measurement.
+// BenchmarkReuseTrace/on measures the memory-trace overhead on
+// compress: BenchmarkInterpretCompress's run plus trace collection and
+// the O(n log n) stack-distance measurement. The untraced run, whose
+// only cost is a nil-map test per candidate access, is
+// BenchmarkInterpretCompress itself.
 func BenchmarkReuseTrace(b *testing.B) {
 	prog, err := suite.ByName("compress")
 	if err != nil {
@@ -409,14 +384,6 @@ func BenchmarkReuseTrace(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := prog.Inputs[0]
-	b.Run("off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("on", func(b *testing.B) {
 		tab := u.ReuseTable()
 		b.ReportAllocs()
@@ -503,19 +470,14 @@ func BenchmarkProbeProfiling(b *testing.B) {
 	})
 }
 
-// BenchmarkObsDisabled interprets compress with observability disabled
-// (nil observer). The acceptance bar is parity (≤2%) with
-// BenchmarkInterpretCompress — the identical run before the obs layer
-// existed — because the nil path adds no work to the interpreter's hot
-// loop: per-run counters are derived at run end from state the loop
-// already maintains.
-func BenchmarkObsDisabled(b *testing.B) { benchObsRun(b, nil) }
-
-// BenchmarkObsEnabled is the same run reporting to a live observer
-// (span + counters, no sink) — the cost of switching observability on.
-func BenchmarkObsEnabled(b *testing.B) { benchObsRun(b, staticest.NewObserver()) }
-
-func benchObsRun(b *testing.B, o *staticest.Observer) {
+// BenchmarkObsEnabled is BenchmarkInterpretCompress's run reporting to
+// a live observer (span + counters, no sink) — the cost of switching
+// observability on. BenchmarkInterpretCompress is the nil-observer run:
+// the nil path adds no work to the interpreter's hot loop, because
+// per-run counters are derived at run end from state the loop already
+// maintains.
+func BenchmarkObsEnabled(b *testing.B) {
+	o := staticest.NewObserver()
 	prog, err := suite.ByName("compress")
 	if err != nil {
 		b.Fatal(err)

@@ -1,7 +1,8 @@
 // Command cprof interprets a C program under the profiling interpreter
-// and dumps the measured profile: per-function invocation counts, block
-// counts, branch outcomes, and call-site counts — what an instrumented
-// binary would report.
+// (its bytecode lowering, see internal/bc) and dumps the measured
+// profile: per-function invocation counts, block counts, branch
+// outcomes, and call-site counts — what an instrumented binary would
+// report.
 //
 // With -instr sparse the run uses optimal probe placement instead of
 // full instrumentation: counters go only on the off-forest CFG arcs
@@ -13,14 +14,10 @@
 // planning) and -metrics prints the text exposition, whose interp_*
 // counters exactly match the dumped profile's own totals.
 //
-// -engine selects the execution engine: the default bytecode engine or
-// the reference tree-walking evaluator (both produce identical
-// profiles; tree exists for cross-checking and debugging the lowering).
-//
 // Usage:
 //
 //	cprof [-in input-file] [-steps n] [-instr full|sparse]
-//	      [-engine bytecode|tree] [-trace file|-] [-metrics] file.c [args...]
+//	      [-trace file|-] [-metrics] file.c [args...]
 package main
 
 import (
@@ -39,7 +36,6 @@ func main() {
 	maxSteps := flag.Int64("steps", 0, "block-execution budget (0 = default)")
 	blocks := flag.Bool("blocks", false, "dump per-block counts")
 	instr := flag.String("instr", "full", "instrumentation mode: full or sparse")
-	engine := flag.String("engine", "bytecode", "execution engine: bytecode or tree")
 	trace := flag.String("trace", "", "write JSONL trace events to this file (- for stderr)")
 	metrics := flag.Bool("metrics", false, "print the metrics exposition after the run")
 	flag.Parse()
@@ -53,17 +49,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := cliutil.CheckEnum("engine", *engine, "bytecode", "tree"); err != nil {
-		fmt.Fprintf(os.Stderr, "cprof: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 	o, closeObs, err := cliutil.Observability(*trace, *metrics)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cprof: %v\n", err)
 		os.Exit(1)
 	}
-	err = run(flag.Arg(0), flag.Args()[1:], *inFile, *maxSteps, *blocks, *instr, *engine, o)
+	err = run(flag.Arg(0), flag.Args()[1:], *inFile, *maxSteps, *blocks, *instr, o)
 	closeObs()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cprof: %v\n", err)
@@ -75,7 +66,7 @@ func main() {
 	}
 }
 
-func run(path string, args []string, inFile string, maxSteps int64, blocks bool, instr, engine string, o *obs.Observer) error {
+func run(path string, args []string, inFile string, maxSteps int64, blocks bool, instr string, o *obs.Observer) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -92,9 +83,6 @@ func run(path string, args []string, inFile string, maxSteps int64, blocks bool,
 		}
 	}
 	opts := staticest.RunOptions{Args: args, Stdin: stdin, MaxSteps: maxSteps}
-	if engine == "tree" {
-		opts.Engine = staticest.EngineTree
-	}
 	var plan *staticest.ProbePlan
 	if instr == "sparse" {
 		plan = u.PlanProbes()

@@ -1,27 +1,41 @@
-// Command loadtest replays generated programs against a running serve
-// instance at a target request rate and reports the client-observed
-// latency distribution. It is the load half of the serving story: the
-// sharded unit cache and the batch endpoint claim production-rate
-// estimation, and this driver is how that claim is exercised outside
-// the Go benchmark harness — real HTTP, real JSON, a configurable
-// cache hit/miss mix, and honest 429 handling.
+// Command loadtest drives a running serve instance with real HTTP
+// traffic and reports the client-observed latency distribution. It is
+// the load half of the serving story, in two modes:
 //
-// The workload is built from internal/gen: a hot set of programs that
-// the server will keep cached (the hit side of the mix) and a stream of
-// unique cold programs (each one a compile). -hit sets the fraction of
-// requests drawn from the hot set; -batch switches from /v1/estimate to
-// /v1/batch with that many items per request. Shed requests (429)
-// honor Retry-After and retry; their end-to-end latency — including
-// the backoff — is what the percentiles report, because that is what a
-// client actually waits.
+//   - estimate (the default) replays generated programs from
+//     internal/gen at a target request rate for -duration: a hot set of
+//     -hot programs the server keeps cached (the -hit fraction of
+//     requests) and a stream of unique cold programs (each one a
+//     compile). -batch switches from /v1/estimate to /v1/batch with
+//     that many items per request.
+//   - ingest simulates a fleet of instrumented deployments closing the
+//     PGO loop: it compiles one benchmark-suite program (-program)
+//     locally, produces the sparse probe vector of each of its inputs,
+//     and sends -n uploads, cycling through the inputs, to
+//     POST /v1/profiles/ingest. The first upload ships the program
+//     reference so the server registers the unit. Each upload's ID
+//     (fleet-00042) doubles as its X-Request-ID, so its server-side
+//     span tree is findable by the name the ingest store deduplicates
+//     on. At log-spaced checkpoints it queries /v1/profiles/stats with
+//     agreement rows and prints how each estimate source's decision
+//     agreement against the live aggregate converges toward the offline
+//     eval.OptReport values; -tol turns the final delta into an exit
+//     status.
 //
-// The exit status makes it CI-usable: any 5xx or transport error
-// fails, and -max-p99 turns the p99 into an assertion.
+// Both modes share the pacer (-rps), the workers (-j, with an HTTP
+// client whose idle-connection pool matches it), the 429 handling and
+// the report. Shed requests (429) honor Retry-After and retry; their
+// end-to-end latency — including the backoff — is what the percentiles
+// report, because that is what a client actually waits.
+//
+// The exit status makes it CI-usable: any failed request, 5xx or
+// transport error fails, and -max-p99 turns the p99 into an assertion.
 //
 // Usage:
 //
 //	loadtest -addr localhost:8080 -duration 20s -rps 50
 //	loadtest -addr localhost:8080 -rps 200 -hit 0.95 -batch 16 -j 16
+//	loadtest -mode ingest -addr localhost:8080 -program eqntott -n 500 -rps 0
 package main
 
 import (
@@ -44,18 +58,27 @@ import (
 )
 
 func main() {
+	mode := flag.String("mode", "estimate", "traffic to send: estimate (/v1/estimate, /v1/batch) or ingest (/v1/profiles/ingest)")
 	addr := flag.String("addr", "localhost:8080", "serve instance to drive")
-	duration := flag.Duration("duration", 20*time.Second, "how long to send load")
 	rps := flag.Float64("rps", 50, "target requests per second (0 = unthrottled)")
-	hit := flag.Float64("hit", 0.9, "fraction of requests drawn from the hot (cached) program set")
-	hot := flag.Int("hot", 8, "hot-set size (distinct programs the server keeps cached)")
-	batch := flag.Int("batch", 1, "items per request (1 = POST /v1/estimate, >1 = POST /v1/batch)")
 	jobs := flag.Int("j", 8, "concurrent client workers")
-	seed := flag.Int64("seed", 1, "program-generator seed")
 	maxP99 := flag.Duration("max-p99", 0, "fail if request p99 exceeds this (0 = report only)")
 	trace := flag.String("trace", "", "write JSONL trace events to this file (- for stderr)")
+	duration := flag.Duration("duration", 20*time.Second, "estimate mode: how long to send load")
+	hit := flag.Float64("hit", 0.9, "estimate mode: fraction of requests drawn from the hot (cached) program set")
+	hot := flag.Int("hot", 8, "estimate mode: hot-set size (distinct programs the server keeps cached)")
+	batch := flag.Int("batch", 1, "estimate mode: items per request (1 = POST /v1/estimate, >1 = POST /v1/batch)")
+	seed := flag.Int64("seed", 1, "estimate mode: program-generator seed")
+	program := flag.String("program", "compress", "ingest mode: benchmark-suite program the fleet runs")
+	n := flag.Int("n", 200, "ingest mode: total uploads")
+	tol := flag.Float64("tol", 0.1, "ingest mode: max allowed final |live - offline| agreement delta (negative = report only)")
 	flag.Parse()
-	if flag.NArg() > 0 || *hot < 1 || *batch < 1 || *jobs < 1 || *hit < 0 || *hit > 1 {
+	if err := cliutil.CheckEnum("mode", *mode, "estimate", "ingest"); err != nil {
+		fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if flag.NArg() > 0 || *jobs < 1 || *hot < 1 || *batch < 1 || *hit < 0 || *hit > 1 || *n < 1 {
 		fmt.Fprintln(os.Stderr, "usage: loadtest [flags]")
 		flag.Usage()
 		os.Exit(2)
@@ -65,7 +88,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
 		os.Exit(1)
 	}
-	err = run(*addr, *duration, *rps, *hit, *hot, *batch, *jobs, *seed, *maxP99, o)
+	d := newDriver(*addr, *rps, *jobs, o)
+	if *mode == "ingest" {
+		err = d.ingest(*program, *n, *tol)
+	} else {
+		err = d.estimate(*duration, *hit, *hot, *batch, *seed)
+	}
+	if err == nil {
+		err = d.finish(*maxP99)
+	}
+	d.stopPacer()
 	closeObs()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
@@ -73,108 +105,169 @@ func main() {
 	}
 }
 
-// driver holds the prepared workload and the shared result counters.
+// driver holds what both modes share: the client, the pacer, and the
+// result counters.
 type driver struct {
-	base  string
-	batch int
-	hit   float64
+	base   string
+	rps    float64
+	jobs   int
+	client *http.Client
+	obs    *obs.Observer
+	ticker *time.Ticker // nil when unthrottled
 
-	hot  [][]byte // request bodies served from the warm cache
-	cold [][]byte // unique-fingerprint bodies: every request compiles
-
+	start   time.Time      // when the first request was sent
 	lat     *obs.Histogram // end-to-end request latency, retries included
 	sent    atomic.Int64
 	ok      atomic.Int64
 	shed    atomic.Int64 // 429s observed (each retried)
 	failed  atomic.Int64 // 4xx/5xx other than 429
 	server5 atomic.Int64 // 5xx subset of failed
-	items   atomic.Int64 // estimate payloads received (batch counts per item)
 }
 
-func run(addr string, duration time.Duration, rps, hitFrac float64, hot, batchN, jobs int, seed int64, maxP99 time.Duration, o *obs.Observer) error {
+func newDriver(addr string, rps float64, jobs int, o *obs.Observer) *driver {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-
-	lat := obs.NewHistogram("loadtest_request_seconds")
+	// http.DefaultClient keeps two idle connections per host, so more
+	// workers than that would open and close a connection per request.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = jobs
+	tr.MaxIdleConns = max(tr.MaxIdleConns, jobs)
+	d := &driver{base: base, rps: rps, jobs: jobs, client: &http.Client{Transport: tr}, obs: o,
+		lat: obs.NewHistogram("loadtest_request_seconds")}
 	if o != nil {
-		lat = o.Histogram("loadtest_request_seconds")
+		d.lat = o.Histogram("loadtest_request_seconds")
 	}
-	d := &driver{base: base, batch: batchN, hit: hitFrac, lat: lat}
-
-	// Pre-build every request body: the driver must not spend its send
-	// budget generating C programs. Hot bodies repeat (cache hits after
-	// first touch); cold bodies are distinct programs, enough that a
-	// full-length unthrottled run does not wrap around into accidental
-	// hits.
-	g := gen.New(seed)
-	for i := 0; i < hot; i++ {
-		d.hot = append(d.hot, g.Program())
-	}
-	coldCount := 4096
-	for i := 0; i < coldCount; i++ {
-		d.cold = append(d.cold, g.Program())
-	}
-
-	fmt.Printf("loadtest: addr=%s duration=%s rps=%s hit=%.2f hot=%d batch=%d workers=%d seed=%d\n",
-		addr, duration, rateString(rps), hitFrac, hot, batchN, jobs, seed)
-
-	var ticker *time.Ticker
-	var ticks <-chan time.Time
 	if rps > 0 {
-		ticker = time.NewTicker(time.Duration(float64(time.Second) / rps))
-		ticks = ticker.C
-		defer ticker.Stop()
+		d.ticker = time.NewTicker(time.Duration(float64(time.Second) / rps))
 	}
+	return d
+}
 
-	start := time.Now()
-	deadline := time.After(duration)
-	stop := make(chan struct{})
-	go func() { <-deadline; close(stop) }()
+func (d *driver) stopPacer() {
+	if d.ticker != nil {
+		d.ticker.Stop()
+	}
+}
 
+// fanOut runs d.jobs workers. Each takes its next request from next
+// (false: no more work), waits for the pacer, and sends it, until next
+// runs dry or stop closes (a nil stop never does). It returns once every
+// worker has stopped, with the first transport error.
+func (d *driver) fanOut(stop <-chan struct{}, next func(worker int) (send func() error, ok bool)) error {
 	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for w := 0; w < jobs; w++ {
+	errs := make(chan error, d.jobs)
+	for w := 0; w < d.jobs; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*7919))
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if ticks != nil {
+				send, ok := next(w)
+				if !ok {
+					return
+				}
+				if d.ticker != nil {
 					select {
-					case <-ticks:
+					case <-d.ticker.C:
 					case <-stop:
 						return
 					}
 				}
-				if err := d.request(rng); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
+				if err := send(); err != nil {
+					errs <- err
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return firstErr
-	}
+	close(errs)
+	return <-errs
+}
 
+// post sends one request, retrying 429s per their Retry-After hint. It
+// returns an error only for a transport failure; an HTTP-level failure
+// is counted, its first occurrence printed, and reported as ok=false.
+func (d *driver) post(path string, body []byte, requestID string) (ok bool, err error) {
+	d.sent.Add(1)
+	start := time.Now()
+	defer d.lat.ObserveSince(start)
+	sp := d.obs.StartSpan("loadtest.request", obs.KV("path", path))
+	defer sp.End()
+	for attempt := 0; ; attempt++ {
+		req, err := http.NewRequest(http.MethodPost, d.base+path, bytes.NewReader(body))
+		if err != nil {
+			return false, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if requestID != "" {
+			req.Header.Set("X-Request-ID", requestID)
+		}
+		resp, err := d.client.Do(req)
+		if err != nil {
+			return false, err
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return false, err
+		}
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			d.ok.Add(1)
+			return true, nil
+		case resp.StatusCode == http.StatusTooManyRequests && attempt < 10:
+			d.shed.Add(1)
+			wait := time.Second
+			if ra := resp.Header.Get("Retry-After"); ra != "" {
+				if secs, err := time.ParseDuration(ra + "s"); err == nil {
+					wait = secs
+				}
+			}
+			time.Sleep(wait)
+		default:
+			if d.failed.Add(1) == 1 {
+				fmt.Fprintf(os.Stderr, "loadtest: first failed request: %s status %d: %.300s\n",
+					path, resp.StatusCode, out)
+			}
+			if resp.StatusCode >= 500 {
+				d.server5.Add(1)
+			}
+			return false, nil
+		}
+	}
+}
+
+// get fetches path and returns its body, failing on any status but 200.
+func (d *driver) get(path string) ([]byte, error) {
+	resp, err := d.client.Get(d.base + path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, body)
+	}
+	return body, nil
+}
+
+// finish prints the run's summary and the server's view of it, and
+// turns failures and the -max-p99 bound into an error.
+func (d *driver) finish(maxP99 time.Duration) error {
+	elapsed := time.Since(d.start)
 	s := d.lat.Summarize()
-	achieved := float64(d.sent.Load()) / elapsed.Seconds()
-	fmt.Printf("loadtest: %d requests in %.1fs (%.1f req/s achieved), %d items, %d ok, %d shed(429), %d failed (%d of them 5xx)\n",
-		d.sent.Load(), elapsed.Seconds(), achieved, d.items.Load(),
+	fmt.Printf("loadtest: %d requests in %.1fs (%.1f req/s achieved), %d ok, %d shed(429), %d failed (%d of them 5xx)\n",
+		d.sent.Load(), elapsed.Seconds(), float64(d.sent.Load())/elapsed.Seconds(),
 		d.ok.Load(), d.shed.Load(), d.failed.Load(), d.server5.Load())
 	fmt.Printf("loadtest: latency p50=%.3fms p90=%.3fms p99=%.3fms p999=%.3fms (n=%d)\n",
 		s.P50*1e3, s.P90*1e3, s.P99*1e3, s.P999*1e3, s.Count)
@@ -195,93 +288,84 @@ func run(addr string, duration time.Duration, rps, hitFrac float64, hot, batchN,
 	return nil
 }
 
-// body picks one source according to the hit/miss mix. Cold picks walk
-// the unique pool so each is a fresh fingerprint.
-func (d *driver) body(rng *rand.Rand, coldIdx *int) []byte {
-	if rng.Float64() < d.hit {
-		return d.hot[rng.Intn(len(d.hot))]
+// estimate sends estimate (or batch) requests for the given duration.
+func (d *driver) estimate(duration time.Duration, hitFrac float64, hot, batchN int, seed int64) error {
+	// Pre-build every request body: the driver must not spend its send
+	// budget generating C programs. Hot bodies repeat (cache hits after
+	// first touch); cold bodies are distinct programs, enough that a
+	// full-length unthrottled run does not wrap around into accidental
+	// hits.
+	g := gen.New(seed)
+	hotSrc := make([][]byte, hot)
+	for i := range hotSrc {
+		hotSrc[i] = g.Program()
 	}
-	src := d.cold[*coldIdx%len(d.cold)]
-	*coldIdx++
-	return src
-}
-
-// request sends one estimate or batch request, retrying 429s per their
-// Retry-After hint. Only transport errors are returned (they abort the
-// worker); HTTP-level failures are counted and the run keeps going.
-func (d *driver) request(rng *rand.Rand) error {
-	var coldIdx = rng.Intn(4096) // stagger workers' cold pools
+	coldSrc := make([][]byte, 4096)
+	for i := range coldSrc {
+		coldSrc[i] = g.Program()
+	}
+	// body picks one source according to the hit/miss mix. Cold picks
+	// walk the unique pool so each is a fresh fingerprint.
+	body := func(rng *rand.Rand, coldIdx *int) []byte {
+		if rng.Float64() < hitFrac {
+			return hotSrc[rng.Intn(len(hotSrc))]
+		}
+		src := coldSrc[*coldIdx%len(coldSrc)]
+		*coldIdx++
+		return src
+	}
 	path := "/v1/estimate"
-	var payload []byte
-	if d.batch > 1 {
+	if batchN > 1 {
 		path = "/v1/batch"
-		var b bytes.Buffer
-		b.WriteString(`{"items":[`)
-		for i := 0; i < d.batch; i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			item, _ := json.Marshal(struct {
-				Source string `json:"source"`
-			}{string(d.body(rng, &coldIdx))})
-			b.Write(item)
-		}
-		b.WriteString(`]}`)
-		payload = b.Bytes()
-	} else {
-		payload, _ = json.Marshal(struct {
-			Source string `json:"source"`
-		}{string(d.body(rng, &coldIdx))})
 	}
 
-	d.sent.Add(1)
-	start := time.Now()
-	defer d.lat.ObserveSince(start)
-	for attempt := 0; ; attempt++ {
-		resp, err := http.Post(d.base+path, "application/json", bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			d.ok.Add(1)
-			d.items.Add(int64(d.batch))
-			return nil
-		case resp.StatusCode == http.StatusTooManyRequests && attempt < 10:
-			d.shed.Add(1)
-			wait := time.Second
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				if secs, err := time.ParseDuration(ra + "s"); err == nil {
-					wait = secs
-				}
-			}
-			time.Sleep(wait)
-		default:
-			d.failed.Add(1)
-			if resp.StatusCode >= 500 {
-				d.server5.Add(1)
-			}
-			return nil
-		}
+	fmt.Printf("loadtest: mode=estimate addr=%s duration=%s rps=%s hit=%.2f hot=%d batch=%d workers=%d seed=%d\n",
+		d.base, duration, rateString(d.rps), hitFrac, hot, batchN, d.jobs, seed)
+
+	rngs := make([]*rand.Rand, d.jobs)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(seed + int64(w)*7919))
 	}
+	stop := make(chan struct{})
+	timer := time.AfterFunc(duration, func() { close(stop) })
+	defer timer.Stop()
+	d.start = time.Now()
+	return d.fanOut(stop, func(w int) (func() error, bool) {
+		rng := rngs[w]
+		coldIdx := rng.Intn(len(coldSrc)) // stagger workers' cold pools
+		var payload []byte
+		if batchN > 1 {
+			var b bytes.Buffer
+			b.WriteString(`{"items":[`)
+			for i := 0; i < batchN; i++ {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				item, _ := json.Marshal(struct {
+					Source string `json:"source"`
+				}{string(body(rng, &coldIdx))})
+				b.Write(item)
+			}
+			b.WriteString(`]}`)
+			payload = b.Bytes()
+		} else {
+			payload, _ = json.Marshal(struct {
+				Source string `json:"source"`
+			}{string(body(rng, &coldIdx))})
+		}
+		return func() error {
+			_, err := d.post(path, payload, "")
+			return err
+		}, true
+	})
 }
 
 // printServerStatus fetches /v1/debug/status and prints the server-side
 // view of the run: cache shape, hit ratio, batch items.
 func (d *driver) printServerStatus() error {
-	resp, err := http.Get(d.base + "/v1/debug/status")
+	body, err := d.get("/v1/debug/status")
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	var st struct {
 		Cache struct {

@@ -23,6 +23,11 @@
 // "freq_source":"live" plans from the fleet's measured frequencies,
 // falling back to the smart static estimate for cold fingerprints.
 //
+// Inline sources are untrusted programs. Each run executes bytecode
+// under a -max-steps budget, and a source declaring an object over 1 GiB
+// (ctypes.MaxObjectSize: an array, a struct, a function's frame, or all
+// globals together) is a compile error, 422 on every endpoint.
+//
 // When every worker slot is busy, a request waits at most -queue-wait
 // before being shed with 429 + Retry-After, so saturation degrades into
 // fast, explicit backpressure instead of unbounded queueing.
@@ -48,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"staticest"
 	"staticest/internal/cliutil"
 	"staticest/internal/eval"
 	"staticest/internal/obs"
@@ -65,7 +69,6 @@ func main() {
 	maxSteps := flag.Int64("max-steps", 50_000_000, "block-execution budget per served run")
 	queueWait := flag.Duration("queue-wait", 500*time.Millisecond, "max wait for a worker slot before shedding with 429")
 	jobs := flag.Int("j", 0, "concurrent pipeline requests (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "bytecode", "interpreter engine for served runs: bytecode or tree")
 	trace := flag.String("trace", "", "write JSONL trace events to this file (- for stderr)")
 	metrics := flag.Bool("metrics", false, "print the final metrics exposition to stderr at exit")
 	flag.Parse()
@@ -74,15 +77,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: serve [flags]")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if err := cliutil.CheckEnum("engine", *engine, "bytecode", "tree"); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	runEngine := staticest.EngineBytecode
-	if *engine == "tree" {
-		runEngine = staticest.EngineTree
 	}
 	eval.SetParallelism(*jobs)
 
@@ -108,7 +102,6 @@ func main() {
 		DrainTimeout:   *drain,
 		MaxSteps:       *maxSteps,
 		QueueWait:      *queueWait,
-		Engine:         runEngine,
 		Obs:            o,
 	})
 

@@ -21,8 +21,9 @@ import (
 // including the points where it sets the ambient error position, the
 // order of memory-trace appends, and the constructs it rejects at run
 // time (which lower to OpFail with the same message). A construct the
-// lowering cannot express returns an error; the interpreter then falls
-// back to the reference engine for that program.
+// lowering cannot express — an offset or element size beyond the 32-bit
+// operands, which the frontend's ctypes.MaxObjectSize bound rules out —
+// returns an error, and interp.Run reports it.
 func Compile(p *cfg.Program, plan *probes.Plan) (*Module, error) {
 	m := &Module{Sparse: plan != nil, Funcs: make([]Func, len(p.Graphs))}
 	for fi, g := range p.Graphs {

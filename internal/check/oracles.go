@@ -9,10 +9,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 
 	"staticest"
 	"staticest/internal/gen"
 	"staticest/internal/ingest"
+	"staticest/internal/interp"
 	"staticest/internal/metric"
 	"staticest/internal/opt"
 	"staticest/internal/profile"
@@ -44,74 +46,71 @@ func SparseOracle(u *staticest.Unit) []Failure {
 	return profileDiffFailures("sparse", staticest.DiffProfiles(full.Profile, rec))
 }
 
-// BytecodeOracle runs the program under both execution engines — the
-// bytecode lowering and the reference tree-walking evaluator — in both
-// instrumentation modes and demands byte-identical observables: exit
-// code, output, step count, full profile, and sparse probe vector. The
-// suite's TestEngineDifferential pins the 14 fixed programs; this
+// BytecodeOracle runs the program through interp.Run (the bytecode
+// lowering) and interp.RunReference (the tree-walking evaluator) in both
+// instrumentation modes and demands identical observables (DiffRuns).
+// The suite's TestEngineDifferential pins the 14 fixed programs; this
 // oracle extends the same check to arbitrary generated programs.
 func BytecodeOracle(u *staticest.Unit) []Failure {
 	var out []Failure
-	fail := func(format string, args ...any) {
-		out = append(out, Failure{Oracle: "bc", Detail: fmt.Sprintf(format, args...)})
-	}
-	pair := func(label string, opts staticest.RunOptions) (*staticest.RunResult, *staticest.RunResult) {
-		opts.Engine = staticest.EngineTree
-		tree, err := u.Run(opts)
+	for _, run := range []struct {
+		label string
+		opts  staticest.RunOptions
+	}{
+		{"full", staticest.RunOptions{}},
+		{"sparse", staticest.RunOptions{Instrumentation: staticest.SparseInstrumentation, Plan: u.PlanProbes()}},
+	} {
+		ref, err := interp.RunReference(u.CFG, run.opts)
 		if err != nil {
-			fail("%s tree run: %v", label, err)
-			return nil, nil
+			out = append(out, Failure{Oracle: "bc", Detail: run.label + " tree run: " + err.Error()})
+			continue
 		}
-		opts.Engine = staticest.EngineBytecode
-		bc, err := u.Run(opts)
+		got, err := u.Run(run.opts)
 		if err != nil {
-			fail("%s bytecode run: %v", label, err)
-			return nil, nil
+			out = append(out, Failure{Oracle: "bc", Detail: run.label + " bytecode run: " + err.Error()})
+			continue
 		}
-		if tree.ExitCode != bc.ExitCode {
-			fail("%s exit code: tree %d, bytecode %d", label, tree.ExitCode, bc.ExitCode)
-		}
-		if !bytes.Equal(tree.Output, bc.Output) {
-			fail("%s output differs (tree %d bytes, bytecode %d bytes)",
-				label, len(tree.Output), len(bc.Output))
-		}
-		if tree.Steps != bc.Steps {
-			fail("%s steps: tree %d, bytecode %d", label, tree.Steps, bc.Steps)
-		}
-		return tree, bc
-	}
-	if tree, bc := pair("full", staticest.RunOptions{}); tree != nil {
-		out = append(out, profileDiffFailures("bc", staticest.DiffProfiles(tree.Profile, bc.Profile))...)
-	}
-	plan := u.PlanProbes()
-	tree, bc := pair("sparse", staticest.RunOptions{
-		Instrumentation: staticest.SparseInstrumentation,
-		Plan:            plan,
-	})
-	if tree == nil {
-		return out
-	}
-	if len(tree.Probes.Counts) != len(bc.Probes.Counts) {
-		fail("sparse probe vector length: tree %d, bytecode %d",
-			len(tree.Probes.Counts), len(bc.Probes.Counts))
-		return out
-	}
-	for i := range tree.Probes.Counts {
-		if tree.Probes.Counts[i] != bc.Probes.Counts[i] {
-			fail("sparse probe %d: tree %g, bytecode %g",
-				i, tree.Probes.Counts[i], bc.Probes.Counts[i])
+		for _, d := range DiffRuns(ref, got) {
+			out = append(out, Failure{Oracle: "bc", Detail: run.label + " " + d})
 		}
 	}
-	if len(tree.Probes.Escapes) != len(bc.Probes.Escapes) {
-		fail("sparse escape count: tree %d, bytecode %d",
-			len(tree.Probes.Escapes), len(bc.Probes.Escapes))
-		return out
+	return out
+}
+
+// DiffRuns lists every observable difference between a reference run
+// and a bytecode run of the same program and options: exit code,
+// output, step count, full profile, sparse probe counts and escapes,
+// and memory trace. Empty means identical.
+func DiffRuns(ref, got *staticest.RunResult) []string {
+	var out []string
+	add := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	if ref.ExitCode != got.ExitCode {
+		add("exit code: tree %d, bytecode %d", ref.ExitCode, got.ExitCode)
 	}
-	for i := range tree.Probes.Escapes {
-		if tree.Probes.Escapes[i] != bc.Probes.Escapes[i] {
-			fail("sparse escape %d: tree %+v, bytecode %+v",
-				i, tree.Probes.Escapes[i], bc.Probes.Escapes[i])
+	if !bytes.Equal(ref.Output, got.Output) {
+		add("output differs (tree %d bytes, bytecode %d bytes)", len(ref.Output), len(got.Output))
+	}
+	if ref.Steps != got.Steps {
+		add("steps: tree %d, bytecode %d", ref.Steps, got.Steps)
+	}
+	switch {
+	case ref.Profile != nil && got.Profile != nil:
+		for _, d := range staticest.DiffProfiles(ref.Profile, got.Profile) {
+			add("profile: %s", d)
 		}
+	case ref.Probes != nil && got.Probes != nil:
+		if !slices.Equal(ref.Probes.Counts, got.Probes.Counts) {
+			add("probe counts differ (tree %d counters, bytecode %d)", len(ref.Probes.Counts), len(got.Probes.Counts))
+		}
+		if !slices.Equal(ref.Probes.Escapes, got.Probes.Escapes) {
+			add("escapes: tree %+v, bytecode %+v", ref.Probes.Escapes, got.Probes.Escapes)
+		}
+	default:
+		add("result shape: tree profile=%t probes=%t, bytecode profile=%t probes=%t",
+			ref.Profile != nil, ref.Probes != nil, got.Profile != nil, got.Probes != nil)
+	}
+	if !slices.Equal(ref.MemTrace, got.MemTrace) {
+		add("memory trace differs (tree %d accesses, bytecode %d)", len(ref.MemTrace), len(got.MemTrace))
 	}
 	return out
 }

@@ -461,7 +461,7 @@ func (p *parser) directDeclarator(base *ctypes.Type) (string, *ctypes.Type, []*c
 	for {
 		switch {
 		case p.at(ctoken.LBrack):
-			p.next()
+			lpos := p.next().Pos
 			n := int64(-1) // incomplete []
 			if !p.at(ctoken.RBrack) {
 				v, err := p.constExpr()
@@ -478,8 +478,19 @@ func (p *parser) directDeclarator(base *ctypes.Type) (string, *ctypes.Type, []*c
 			}
 			sz := n
 			suffixes = append(suffixes, func(t *ctypes.Type) (*ctypes.Type, error) {
+				// The element size is final here (a struct's layout never
+				// changes once complete), so bounding the count against
+				// it keeps every array type's Size within MaxObjectSize.
+				esz := t.Size()
+				if esz <= 0 {
+					return nil, &Error{Pos: lpos, Msg: fmt.Sprintf("array of incomplete type %s", t)}
+				}
 				if sz < 0 {
 					return ctypes.ArrayOf(t, 0), nil
+				}
+				if sz > ctypes.MaxObjectSize/esz {
+					return nil, &Error{Pos: lpos, Msg: fmt.Sprintf(
+						"array of %d %s exceeds the %d-byte object limit", sz, t, int64(ctypes.MaxObjectSize))}
 				}
 				return ctypes.ArrayOf(t, sz), nil
 			})

@@ -224,9 +224,17 @@ func (t *Type) Align() int64 {
 	}
 }
 
+// MaxObjectSize is the largest object, in bytes, a program may declare
+// or allocate: an array or struct type, a function's stack frame, the
+// program's global storage, or one malloc/calloc/realloc block. The
+// interpreter allocates every object eagerly on the Go heap, and the
+// bytecode lowering holds offsets and element sizes in 32-bit operands;
+// this bound keeps both safe for untrusted programs.
+const MaxObjectSize = 1 << 30
+
 // Layout computes field offsets, size, and alignment for the struct and
 // marks it complete. It returns an error for fields of incomplete or
-// zero-size type.
+// zero-size type and for a struct larger than MaxObjectSize.
 func (s *StructInfo) Layout() error {
 	var off, align int64 = 0, 1
 	for i := range s.Fields {
@@ -240,6 +248,10 @@ func (s *StructInfo) Layout() error {
 		off = alignUp(off, fal)
 		f.Offset = off
 		off += fsz
+		if off > MaxObjectSize {
+			return fmt.Errorf("struct %s: size exceeds the %d-byte object limit at field %s",
+				s.Tag, int64(MaxObjectSize), f.Name)
+		}
 		if fal > align {
 			align = fal
 		}

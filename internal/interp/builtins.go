@@ -77,7 +77,7 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 	case "malloc":
 		need(1)
 		n := iv(0)
-		if n < 0 || n > 1<<30 {
+		if n < 0 || n > ctypes.MaxObjectSize {
 			m.fail("malloc of %d bytes", n)
 		}
 		if n == 0 {
@@ -86,10 +86,14 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 		return retP(encodePtr(m.newSegment(make([]byte, n), segHeap, "malloc"), 0), voidPtr)
 	case "calloc":
 		need(2)
-		n := iv(0) * iv(1)
-		if n < 0 || n > 1<<30 {
-			m.fail("calloc of %d bytes", n)
+		// Bound each factor before multiplying so the product cannot
+		// wrap into a small, valid size.
+		cnt, size := iv(0), iv(1)
+		if cnt < 0 || size < 0 || cnt > ctypes.MaxObjectSize || size > ctypes.MaxObjectSize ||
+			cnt*size > ctypes.MaxObjectSize {
+			m.fail("calloc of %d elements of %d bytes", cnt, size)
 		}
+		n := cnt * size
 		if n == 0 {
 			n = 1
 		}
@@ -97,7 +101,7 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 	case "realloc":
 		need(2)
 		n := iv(1)
-		if n < 0 || n > 1<<30 {
+		if n < 0 || n > ctypes.MaxObjectSize {
 			m.fail("realloc to %d bytes", n)
 		}
 		if n == 0 {

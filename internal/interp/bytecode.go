@@ -8,69 +8,42 @@ import (
 	"staticest/internal/probes"
 )
 
-// Engine selects the execution engine for a run.
-type Engine int
-
-// Engines. The bytecode engine is the zero value: every caller gets the
-// fast path unless it asks for the reference evaluator.
-const (
-	// EngineBytecode executes the program's flat bytecode lowering (see
-	// internal/bc). Programs the lowering cannot express fall back to
-	// the tree engine transparently; semantics are identical either way
-	// (the differential oracle in internal/check enforces it).
-	EngineBytecode Engine = iota
-	// EngineTree forces the reference tree-walking evaluator.
-	EngineTree
-)
-
 // loweredCache is the per-program bytecode cache hung off
 // cfg.Program.Lowered. The full lowering is shared by every
 // full-instrumentation run; sparse lowerings are per probe plan, since
 // the plan's probe placement is baked into the instruction stream.
 type loweredCache struct {
-	full      *bc.Module
-	fullErr   bool
-	sparse    map[*probes.Plan]*bc.Module
-	sparseErr map[*probes.Plan]bool
+	full   *bc.Module
+	sparse map[*probes.Plan]*bc.Module
 }
 
 // lowered returns the cached bytecode module for (p, plan), compiling
-// it on first use. A nil return means the program has no bytecode
-// lowering (the compiler rejected it) and the caller must use the tree
-// engine; the failure is cached too, so each program pays for at most
-// one failed compile per mode.
-func lowered(p *cfg.Program, plan *probes.Plan) *bc.Module {
+// it on first use.
+func lowered(p *cfg.Program, plan *probes.Plan) (*bc.Module, error) {
 	p.LoweredMu.Lock()
 	defer p.LoweredMu.Unlock()
 	c, _ := p.Lowered.(*loweredCache)
 	if c == nil {
-		c = &loweredCache{}
+		c = &loweredCache{sparse: make(map[*probes.Plan]*bc.Module)}
 		p.Lowered = c
 	}
+	mod := c.full
+	if plan != nil {
+		mod = c.sparse[plan]
+	}
+	if mod != nil {
+		return mod, nil
+	}
+	mod, err := bc.Compile(p, plan)
+	if err != nil {
+		return nil, err
+	}
 	if plan == nil {
-		if c.full == nil && !c.fullErr {
-			m, err := bc.Compile(p, nil)
-			if err != nil {
-				c.fullErr = true
-			} else {
-				c.full = m
-			}
-		}
-		return c.full
+		c.full = mod
+	} else {
+		c.sparse[plan] = mod
 	}
-	if c.sparse == nil {
-		c.sparse = make(map[*probes.Plan]*bc.Module)
-		c.sparseErr = make(map[*probes.Plan]bool)
-	}
-	if c.sparse[plan] == nil && !c.sparseErr[plan] {
-		m, err := bc.Compile(p, plan)
-		if err != nil {
-			c.sparseErr[plan] = true
-		} else {
-			c.sparse[plan] = m
-		}
-	}
-	return c.sparse[plan]
+	return mod, nil
 }
 
 // runBC is the bytecode twin of callMain: it builds argv, invokes main

@@ -1,21 +1,28 @@
 package interp_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"staticest"
+	"staticest/internal/check"
 	progen "staticest/internal/gen"
+	"staticest/internal/interp"
 )
 
-// FuzzInterp checks that the whole pipeline — parse, analyze, CFG
-// build, interpret under a step cap — never panics, whatever the
-// input. Errors are fine (most mutated inputs won't compile, and those
-// that do may divide by zero or run out of steps); crashes are not.
-// Seeds come from the example corpus and from the generator, whose
-// programs exercise the interpreter far deeper than hand-written seeds
-// (nested loops, recursion, switches, exit paths).
+// FuzzInterp fuzzes the bytecode lowering against its reference: for
+// every input that compiles, interp.Run and interp.RunReference run
+// under the same step cap, in full mode and in sparse mode with the
+// unit's probe plan, and must agree on the error text or on every
+// observable check.DiffRuns compares. Most mutated inputs won't compile,
+// and those that do may divide by zero or run out of steps; both entries
+// must then fail the same way. Seeds come from the example corpus and
+// from the generator, whose programs exercise the interpreter far
+// deeper than hand-written seeds (nested loops, recursion, switches,
+// exit paths).
 func FuzzInterp(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "corpus", "*.c"))
 	if err != nil {
@@ -43,9 +50,25 @@ func FuzzInterp(f *testing.F) {
 		if err != nil {
 			return
 		}
-		res, err := u.Run(staticest.RunOptions{MaxSteps: 50_000})
-		if err == nil && res == nil {
-			t.Fatal("Run returned nil result and nil error")
+		full := staticest.RunOptions{MaxSteps: 50_000}
+		sparse := full
+		sparse.Instrumentation = staticest.SparseInstrumentation
+		sparse.Plan = u.PlanProbes()
+		for _, opts := range []staticest.RunOptions{full, sparse} {
+			ref, refErr := interp.RunReference(u.CFG, opts)
+			got, err := interp.Run(u.CFG, opts)
+			if fmt.Sprint(refErr) != fmt.Sprint(err) {
+				t.Fatalf("instrumentation %d: error: tree %v, bytecode %v", opts.Instrumentation, refErr, err)
+			}
+			if err != nil {
+				continue
+			}
+			if ref == nil || got == nil {
+				t.Fatal("a run returned a nil result and a nil error")
+			}
+			if d := check.DiffRuns(ref, got); len(d) > 0 {
+				t.Fatalf("instrumentation %d: %s", opts.Instrumentation, strings.Join(d, "; "))
+			}
 		}
 	})
 }

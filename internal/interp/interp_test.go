@@ -351,6 +351,9 @@ func TestRuntimeErrors(t *testing.T) {
 		{"oob", `int a[3]; int main(void){ return a[10]; }`, "out-of-bounds"},
 		{"abort", `int main(void){ abort(); return 0; }`, "abort"},
 		{"use after free", `int main(void){ int *p = (int*)malloc(8); free(p); return *p; }`, "freed"},
+		// The factors multiply to 2^64, which wraps to 0: each one is
+		// bounded before the product is taken.
+		{"calloc overflow", `int main(void){ char *p = (char*)calloc(4611686018427387904L, 4); p[0] = 1; return 0; }`, "calloc"},
 		{"step budget", `int main(void){ for(;;); return 0; }`, "step budget"},
 		{"deep recursion", `int f(int n){ return f(n+1); } int main(void){ return f(0); }`, ""},
 	}

@@ -113,7 +113,8 @@ type Options struct {
 	// increments, and step-budget exhaustion. The hot loop carries no
 	// observability code: quantities are derived from state the
 	// interpreter already maintains and recorded once at run end, so a
-	// nil Obs costs nothing (see BenchmarkObsDisabled).
+	// nil Obs costs nothing (BenchmarkInterpretCompress is the nil-Obs
+	// run; BenchmarkObsEnabled is the same run with an observer).
 	Obs *obs.Observer
 	// Ctx, when it carries a span (see obs.ContextWithSpan), parents
 	// the run's "interp.run" span under it — the serving layer uses
@@ -127,17 +128,13 @@ type Options struct {
 	// assigns each traced expression its reference-site ID (see
 	// internal/reuse, which builds it in deterministic CFG order). The
 	// default nil map costs the hot loop a single pointer test per
-	// candidate access (BenchmarkReuseTrace/off pins parity with
-	// BenchmarkInterpretCompress).
+	// candidate access (BenchmarkInterpretCompress is the untraced run;
+	// BenchmarkReuseTrace/on is the same run traced and measured).
 	MemRefs map[cast.Expr]int32
 	// MaxMemAccesses bounds the trace length when MemRefs is set (0
 	// means the default of 16 million); exceeding it is a runtime error,
 	// like an exhausted step budget.
 	MaxMemAccesses int64
-	// Engine selects the execution engine. The zero value is the
-	// bytecode engine; EngineTree forces the reference tree-walking
-	// evaluator. Both produce byte-identical results.
-	Engine Engine
 }
 
 // MemAccess is one traced memory access: the accessed address and the
@@ -207,10 +204,10 @@ type Machine struct {
 	curPos ctoken.Pos
 	depth  int
 
-	// Bytecode-engine state: the module being executed and the operand
-	// stack shared by every activation (each function reserves its
-	// compile-time high-water mark on entry). Nil/empty under the tree
-	// engine.
+	// Bytecode state: the module being executed and the operand stack
+	// shared by every activation (each function reserves its
+	// compile-time high-water mark on entry). Nil/empty under
+	// RunReference.
 	mod    *bc.Module
 	vstack []value
 	vsp    int
@@ -224,8 +221,34 @@ type Machine struct {
 	budgetExhausted bool
 }
 
-// Run executes the program to completion and returns its profile.
-func Run(p *cfg.Program, opts Options) (res *Result, err error) {
+// Run executes the program's bytecode lowering (see internal/bc) to
+// completion and returns its profile. A program the lowering rejects is
+// an error; the frontend's ctypes.MaxObjectSize bound keeps every
+// program it accepts within the lowering's 32-bit operands.
+func Run(p *cfg.Program, opts Options) (*Result, error) {
+	return run(p, opts, func(m *Machine) (int, error) {
+		mod, err := lowered(p, m.plan)
+		if err != nil {
+			return 0, err
+		}
+		return m.runBC(mod, opts.Args), nil
+	})
+}
+
+// RunReference executes the program on the tree-walking evaluator, the
+// executable semantics the bytecode lowering is differentially checked
+// against. Its observables — exit code, output, steps, profile or probe
+// vector, memory trace, error text — are identical to Run's. Only tests
+// and the internal/check oracles call it; production paths call Run.
+func RunReference(p *cfg.Program, opts Options) (*Result, error) {
+	return run(p, opts, func(m *Machine) (int, error) {
+		return m.callMain(opts.Args), nil
+	})
+}
+
+// run sets up a machine for p, evaluates the global initializers, and
+// calls main through exec, which returns the exit code.
+func run(p *cfg.Program, opts Options, exec func(*Machine) (int, error)) (res *Result, err error) {
 	if opts.Instrumentation == SparseInstrumentation {
 		if opts.Plan == nil {
 			return nil, fmt.Errorf("interp: sparse instrumentation requires a probe plan")
@@ -253,21 +276,14 @@ func Run(p *cfg.Program, opts Options) (res *Result, err error) {
 	if m.sem.Main == nil {
 		return nil, fmt.Errorf("interp: program has no main function")
 	}
-	if opts.Engine == EngineBytecode {
-		var plan *probes.Plan
-		if m.sparse {
-			plan = m.plan
-		}
-		if mod := lowered(p, plan); mod != nil {
-			// Global initializers run on the tree evaluator under both
-			// engines: they execute outside any function (no counters,
-			// no frame), so the runs stay byte-identical.
-			m.initGlobals()
-			return m.result(m.runBC(mod, opts.Args)), nil
-		}
-	}
+	// Global initializers run on the tree evaluator under both entries:
+	// they execute outside any function (no counters, no frame), so the
+	// runs stay byte-identical.
 	m.initGlobals()
-	code := m.callMain(opts.Args)
+	code, err := exec(m)
+	if err != nil {
+		return nil, err
+	}
 	return m.result(code), nil
 }
 

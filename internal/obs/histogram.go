@@ -49,8 +49,9 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// NewHistogram builds a standalone histogram (clients like cmd/fleet
-// and the benchmarks aggregate latencies without a full Observer).
+// NewHistogram builds a standalone histogram (clients like
+// cmd/loadtest and the benchmarks aggregate latencies without a full
+// Observer).
 func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
 
 // Histogram returns the named histogram, creating it on first use.

@@ -3,7 +3,8 @@
 // Prometheus-style text exposition. Every entry point is safe on a nil
 // *Observer, and the nil path does no allocation and takes no locks, so
 // a pipeline compiled with observability disabled costs effectively
-// nothing (see BenchmarkObsDisabled).
+// nothing (BenchmarkInterpretCompress is an interpreter run with a nil
+// Observer; BenchmarkObsEnabled is the same run with a live one).
 //
 // The layer is deliberately small: no sampling, no exporters, no
 // global registry. A component receives an *Observer (usually via its

@@ -182,6 +182,7 @@ func Analyze(file *cast.File) (*Program, error) {
 		}
 	}
 	gi := 0
+	var globalBytes int64
 	for _, g := range file.Globals {
 		if g.Obj.Type.Kind == ctypes.Void || (g.Obj.Type.Kind == ctypes.Struct && g.Obj.Type.Size() == 0) {
 			c.errorf(g.P, "global %q has incomplete type %s", g.Obj.Name, g.Obj.Type)
@@ -206,6 +207,12 @@ func Analyze(file *cast.File) (*Program, error) {
 		g.Obj.GlobalIndex = gi
 		gi++
 		c.prog.Globals = append(c.prog.Globals, g)
+		if globalBytes <= ctypes.MaxObjectSize {
+			if globalBytes += g.Obj.Type.Size(); globalBytes > ctypes.MaxObjectSize {
+				c.errorf(g.P, "global storage exceeds the %d-byte object limit at %q",
+					int64(ctypes.MaxObjectSize), g.Obj.Name)
+			}
+		}
 	}
 
 	// Pass 2: check global initializers (constant-ish expressions; the
@@ -265,6 +272,10 @@ func (c *checker) checkFunc(fd *cast.FuncDecl) {
 
 	c.checkStmt(fd.Body, fnScope, labels)
 	fd.FrameSize = alignUp(c.frameOff, 8)
+	if fd.FrameSize > ctypes.MaxObjectSize {
+		c.errorf(fd.P, "function %q: stack frame of %d bytes exceeds the %d-byte object limit",
+			fd.Name(), fd.FrameSize, int64(ctypes.MaxObjectSize))
+	}
 }
 
 func (c *checker) allocLocal(o *cast.Object) {

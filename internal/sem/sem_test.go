@@ -259,3 +259,40 @@ func TestUsualArithInExpr(t *testing.T) {
 		t.Errorf("double*int type = %v, want double", mulType)
 	}
 }
+
+// TestObjectSizeLimit pins ctypes.MaxObjectSize across the frontend:
+// array declarators (bounded before multiplying, so no size wraps),
+// struct layout, each function's frame, and total global storage.
+// Without the bound, the inner-dimension and field-offset cases compile
+// but exceed the bytecode lowering's 32-bit operands.
+func TestObjectSizeLimit(t *testing.T) {
+	compile := func(src string) error {
+		file, err := cparse.ParseFile("t.c", []byte(src))
+		if err != nil {
+			return err
+		}
+		_, err = sem.Analyze(file)
+		return err
+	}
+	const main = " int main(void) { return 0; }"
+	rejected := []struct{ name, src, want string }{
+		{"1 TiB global", "char a[1099511627776];" + main, "object limit"},
+		{"size wrapping to 0", "char a[4611686018427387904][4];" + main, "object limit"},
+		{"inner dimension", "char a[2][3000000000];" + main, "object limit"},
+		{"field offset", "struct s { char a[1000000000]; char b[1000000000]; char c[1000000000]; int x; };" + main, "object limit"},
+		{"frame", "int main(void) { char a[629145600]; char b[629145600]; char c[629145600]; return 0; }", "stack frame"},
+		{"global storage", "char a[629145600]; char b[629145600];" + main, "global storage"},
+		{"array of incomplete struct", "struct s; struct s (*p)[1073741824][1073741824];" + main, "incomplete"},
+	}
+	for _, tc := range rejected {
+		t.Run(tc.name, func(t *testing.T) {
+			err := compile(tc.src)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
+	if err := compile("char a[1073741824];" + main); err != nil {
+		t.Errorf("an object of exactly MaxObjectSize bytes: %v", err)
+	}
+}

@@ -382,7 +382,7 @@ func (s *Server) handleProfile(r *http.Request) (any, error) {
 		maxSteps = req.MaxSteps
 	}
 	opts := staticest.RunOptions{Args: args, Stdin: stdin, MaxSteps: maxSteps,
-		Obs: s.obs, Ctx: r.Context(), Engine: s.cfg.Engine}
+		Obs: s.obs, Ctx: r.Context()}
 	resp := &ProfileResponse{
 		Program:         u.Name,
 		Fingerprint:     c.fingerprint,

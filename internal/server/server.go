@@ -11,8 +11,11 @@
 // Robustness is part of the contract: every API request runs under a
 // panic-to-500 recovery layer, a wall-clock timeout, a request-body
 // size cap, and a bounded worker semaphore sized from the same
-// parallelism knob as the evaluation harness (eval.Parallelism). The
-// server always carries an observability domain: per-endpoint RED
+// parallelism knob as the evaluation harness (eval.Parallelism). A
+// source declaring any object over ctypes.MaxObjectSize (1 GiB) is a
+// compile error, 422 on every endpoint: an allocation the Go runtime
+// cannot satisfy ends the process, which no recovery layer can catch.
+// The server always carries an observability domain: per-endpoint RED
 // instrumentation (request/response counters by status class, latency
 // histograms), cache-hit vs compile-path latency histograms,
 // server_cache_hit / server_cache_miss / server_inflight series, and a
@@ -79,11 +82,6 @@ type Config struct {
 	// MaxSteps bounds each served interpreter run's block executions
 	// (default 50 million; the interpreter's own default is 200M).
 	MaxSteps int64
-	// Engine selects the interpreter engine for served runs. The zero
-	// value is the bytecode engine; staticest.EngineTree forces the
-	// reference tree-walking evaluator (an escape hatch for comparing
-	// engines over HTTP — both produce byte-identical responses).
-	Engine staticest.Engine
 	// SlowRingSize bounds the ring of slowest requests whose span trees
 	// are retained for GET /v1/debug/slow (default 16).
 	SlowRingSize int

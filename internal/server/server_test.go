@@ -355,3 +355,40 @@ func jsonString(s string) string {
 	}
 	return string(b)
 }
+
+// TestOversizeObjectRejected pins the object-size bound at the API. A
+// source declaring a 1 TiB global is a compile error naming the limit
+// on every endpoint, never an allocation: running it would end the
+// whole process with an out-of-memory fault that no handler can
+// recover. The server keeps answering afterwards.
+func TestOversizeObjectRejected(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	huge := `{"source":` + jsonString(`char a[1099511627776]; int main(void){ return 0; }`) + `}`
+	const limit = "1073741824-byte object limit"
+
+	status, body := post(t, ts.URL+"/v1/profile", huge)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), limit) {
+		t.Errorf("profile: status %d, body %s; want 422 naming the limit", status, body)
+	}
+	if status, body := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
+		t.Fatalf("estimate after the rejected profile: status %d, body %s", status, body)
+	}
+	status, body = post(t, ts.URL+"/v1/estimate", huge)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), limit) {
+		t.Errorf("estimate: status %d, body %s; want 422 naming the limit", status, body)
+	}
+
+	status, body = post(t, ts.URL+"/v1/batch", `{"items":[`+huge+`]}`)
+	var batch struct {
+		Items []struct {
+			Status int    `json:"status"`
+			Error  string `json:"error"`
+		} `json:"items"`
+	}
+	if err := json.Unmarshal(body, &batch); err != nil || status != http.StatusOK || len(batch.Items) != 1 {
+		t.Fatalf("batch: status %d, body %s, decode error %v", status, body, err)
+	}
+	if it := batch.Items[0]; it.Status != http.StatusUnprocessableEntity || !strings.Contains(it.Error, limit) {
+		t.Errorf("batch item: status %d, error %q; want 422 naming the limit", it.Status, it.Error)
+	}
+}

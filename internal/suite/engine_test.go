@@ -1,79 +1,33 @@
-package suite
+package suite_test
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 	"time"
 
 	"staticest"
+	"staticest/internal/check"
+	"staticest/internal/interp"
+	"staticest/internal/suite"
 )
 
-// runBoth executes the same run under the tree-walking reference
-// evaluator and the bytecode engine and fails the test unless every
-// observable — exit code, output bytes, step count, full profile,
-// sparse probe vector, escape list, memory trace — is identical.
+// runBoth executes the same run through interp.RunReference (the
+// tree-walking reference) and Run (the bytecode engine) and fails the
+// test unless every observable check.DiffRuns compares — exit code,
+// output bytes, step count, full profile, sparse probe vector, escape
+// list, memory trace — is identical.
 func runBoth(t *testing.T, u *staticest.Unit, label string, opts staticest.RunOptions) {
 	t.Helper()
-	opts.Engine = staticest.EngineTree
-	tree, err := u.Run(opts)
+	tree, err := interp.RunReference(u.CFG, opts)
 	if err != nil {
 		t.Fatalf("%s: tree engine: %v", label, err)
 	}
-	opts.Engine = staticest.EngineBytecode
 	bc, err := u.Run(opts)
 	if err != nil {
 		t.Fatalf("%s: bytecode engine: %v", label, err)
 	}
-	if tree.ExitCode != bc.ExitCode {
-		t.Errorf("%s: exit code: tree %d, bytecode %d", label, tree.ExitCode, bc.ExitCode)
-	}
-	if !bytes.Equal(tree.Output, bc.Output) {
-		t.Errorf("%s: output differs (tree %d bytes, bytecode %d bytes)",
-			label, len(tree.Output), len(bc.Output))
-	}
-	if tree.Steps != bc.Steps {
-		t.Errorf("%s: steps: tree %d, bytecode %d", label, tree.Steps, bc.Steps)
-	}
-	switch {
-	case tree.Profile != nil && bc.Profile != nil:
-		for _, d := range staticest.DiffProfiles(tree.Profile, bc.Profile) {
-			t.Errorf("%s: profile: %s", label, d)
-		}
-	case tree.Probes != nil && bc.Probes != nil:
-		if len(tree.Probes.Counts) != len(bc.Probes.Counts) {
-			t.Fatalf("%s: probe vector length: tree %d, bytecode %d",
-				label, len(tree.Probes.Counts), len(bc.Probes.Counts))
-		}
-		for i := range tree.Probes.Counts {
-			if tree.Probes.Counts[i] != bc.Probes.Counts[i] {
-				t.Errorf("%s: probe %d: tree %g, bytecode %g",
-					label, i, tree.Probes.Counts[i], bc.Probes.Counts[i])
-			}
-		}
-		if len(tree.Probes.Escapes) != len(bc.Probes.Escapes) {
-			t.Fatalf("%s: escape count: tree %d, bytecode %d",
-				label, len(tree.Probes.Escapes), len(bc.Probes.Escapes))
-		}
-		for i := range tree.Probes.Escapes {
-			if tree.Probes.Escapes[i] != bc.Probes.Escapes[i] {
-				t.Errorf("%s: escape %d: tree %+v, bytecode %+v",
-					label, i, tree.Probes.Escapes[i], bc.Probes.Escapes[i])
-			}
-		}
-	default:
-		t.Errorf("%s: result shape differs: tree profile=%v probes=%v, bytecode profile=%v probes=%v",
-			label, tree.Profile != nil, tree.Probes != nil, bc.Profile != nil, bc.Probes != nil)
-	}
-	if len(tree.MemTrace) != len(bc.MemTrace) {
-		t.Fatalf("%s: memory trace length: tree %d, bytecode %d",
-			label, len(tree.MemTrace), len(bc.MemTrace))
-	}
-	for i := range tree.MemTrace {
-		if tree.MemTrace[i] != bc.MemTrace[i] {
-			t.Fatalf("%s: memory trace entry %d: tree %+v, bytecode %+v",
-				label, i, tree.MemTrace[i], bc.MemTrace[i])
-		}
+	for _, d := range check.DiffRuns(tree, bc) {
+		t.Errorf("%s: %s", label, d)
 	}
 }
 
@@ -83,7 +37,7 @@ func runBoth(t *testing.T, u *staticest.Unit, label string, opts staticest.RunOp
 // profiles, sparse probe vectors with exit() escape lists, and memory
 // traces included.
 func TestEngineDifferential(t *testing.T) {
-	for _, p := range Programs() {
+	for _, p := range suite.Programs() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
@@ -95,7 +49,7 @@ func TestEngineDifferential(t *testing.T) {
 			refs := u.ReuseTable().RefIndex()
 			inputs := p.Inputs
 			if p.TimingInput != nil {
-				inputs = append(append([]Input{}, inputs...), *p.TimingInput)
+				inputs = append(append([]suite.Input{}, inputs...), *p.TimingInput)
 			}
 			for _, in := range inputs {
 				runBoth(t, u, in.Name+"/full", staticest.RunOptions{
@@ -120,19 +74,20 @@ func TestEngineDifferential(t *testing.T) {
 // TestEngineStepCap checks that the step budget trips identically on
 // both engines: same error, same accounting.
 func TestEngineStepCap(t *testing.T) {
-	p := Compress()
+	p := suite.Compress()
 	u, err := p.CompileCached()
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	in := p.Inputs[0]
-	for _, eng := range []staticest.Engine{staticest.EngineTree, staticest.EngineBytecode} {
-		_, err := u.Run(staticest.RunOptions{
-			Args: in.Args, Stdin: in.Stdin, MaxSteps: 1000, Engine: eng,
-		})
-		if err == nil {
-			t.Fatalf("engine %d: step cap 1000 did not trip", eng)
-		}
+	opts := staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, MaxSteps: 1000}
+	_, treeErr := interp.RunReference(u.CFG, opts)
+	_, bcErr := u.Run(opts)
+	if treeErr == nil || bcErr == nil {
+		t.Fatalf("step cap 1000 did not trip: tree %v, bytecode %v", treeErr, bcErr)
+	}
+	if treeErr.Error() != bcErr.Error() {
+		t.Errorf("step-cap errors differ: tree %q, bytecode %q", treeErr, bcErr)
 	}
 }
 
@@ -153,7 +108,7 @@ func TestSparseNotSlower(t *testing.T) {
 		tolerance = 1.10
 		attempts  = 4
 	)
-	for _, p := range Programs() {
+	for _, p := range suite.Programs() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			u, err := p.CompileCached()
@@ -215,7 +170,7 @@ func TestSparseNotSlower(t *testing.T) {
 // heaviestInput picks the program input executing the most blocks, so
 // the timing comparison runs long enough to resolve above timer and
 // scheduler noise.
-func heaviestInput(t *testing.T, u *staticest.Unit, p *Program) Input {
+func heaviestInput(t *testing.T, u *staticest.Unit, p *suite.Program) suite.Input {
 	t.Helper()
 	best, bestSteps := p.Inputs[0], int64(-1)
 	for _, in := range p.Inputs {

@@ -90,7 +90,7 @@ bench_family() {
 	rm -f "$raw"
 }
 
-interp_filter=${BENCH_FILTER:-'InterpretCompress|InlineXlisp|ProbeProfiling|ReuseTrace|Obs(Disabled|Enabled)|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
+interp_filter=${BENCH_FILTER:-'InterpretCompress|InlineXlisp|ProbeProfiling|ReuseTrace|ObsEnabled|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
 serve_filter=${BENCH_SERVE_FILTER:-'ServeEstimate|ServeBatch|^BenchmarkIngest$'}
 # The serve family runs at GOMAXPROCS 8 so the parallel cache-scaling
 # benchmarks (ServeEstimateParallel) actually fan out; serial serve

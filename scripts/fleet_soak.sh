@@ -1,7 +1,8 @@
 #!/bin/sh
-# Fleet-soak smoke: boots a serve instance, points cmd/fleet at it, and
-# fails unless every upload lands and the live aggregate's decision
-# agreement converges to the offline eval values (fleet's -tol check).
+# Fleet-soak smoke: boots a serve instance, points `loadtest -mode
+# ingest` at it, and fails unless every upload lands and the live
+# aggregate's decision agreement converges to the offline eval values
+# (the -tol check).
 # After the soak, /metrics is scraped and the run fails if any expected
 # metric family (per-endpoint latency histograms, shed/reject counters,
 # runtime gauges) is missing or any exposition line is unparseable.
@@ -25,7 +26,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$bin/serve" ./cmd/serve
-go build -o "$bin/fleet" ./cmd/fleet
+go build -o "$bin/loadtest" ./cmd/loadtest
 
 "$bin/serve" -addr "$addr" &
 serve_pid=$!
@@ -40,7 +41,7 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ok" ] || { echo "fleet_soak: serve never became healthy on $addr" >&2; exit 1; }
 
-"$bin/fleet" -addr "$addr" -program "$program" -n "$n" -j 8
+"$bin/loadtest" -mode ingest -addr "$addr" -program "$program" -n "$n" -j 8 -rps 0
 
 echo "fleet_soak: final health: $(curl -s "http://$addr/healthz")" >&2
 

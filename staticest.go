@@ -182,18 +182,6 @@ const (
 	SparseInstrumentation = interp.SparseInstrumentation
 )
 
-// Engine selects the interpreter's execution engine (see
-// RunOptions.Engine). The zero value is the bytecode engine.
-type Engine = interp.Engine
-
-// Execution engines, re-exported from internal/interp. The bytecode
-// engine is the default; the tree-walking evaluator is the reference
-// the bytecode lowering is differentially checked against.
-const (
-	EngineBytecode = interp.EngineBytecode
-	EngineTree     = interp.EngineTree
-)
-
 // ProbePlan is a sparse probe placement (see internal/probes).
 type ProbePlan = probes.Plan
 
