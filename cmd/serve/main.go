@@ -10,13 +10,15 @@
 //	POST /v1/profiles/ingest   fleet upload of one sparse probe vector
 //	GET  /v1/profiles/stats    live per-unit aggregates (+ agreement rows)
 //
-// plus /healthz, /metrics (Prometheus text exposition, including
-// per-endpoint latency histograms and runtime gauges), /v1/debug/status
-// (ops snapshot), /v1/debug/slow (span trees of the slowest requests),
-// and /debug/pprof/. Requests name a benchmark-suite program or ship C
-// source inline; identical sources share one cached compilation
-// (singleflight), so a hot source is compiled exactly once no matter
-// how many clients ask.
+// plus /healthz, /metrics (Prometheus text exposition, including the
+// span_seconds latency histogram of every span name — one per endpoint,
+// server.<endpoint>, and one per pipeline layer under it, such as
+// compile, cparse.parse or core.estimate — and runtime gauges),
+// /v1/debug/status (ops snapshot), /v1/debug/slow (span trees of the
+// slowest requests), and /debug/pprof/. Requests name a benchmark-suite
+// program or ship C source inline; identical sources share one cached
+// compilation (singleflight), so a hot source is compiled exactly once
+// no matter how many clients ask.
 //
 // Ingested uploads close the PGO loop (see internal/ingest): they merge
 // into live per-unit aggregates, and /v1/optimize with
@@ -62,7 +64,6 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	cache := flag.Int("cache", 64, "compiled units kept in the LRU cache")
-	shards := flag.Int("cache-shards", 0, "unit-cache stripe count, rounded up to a power of two (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request wall-clock budget")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
@@ -96,7 +97,6 @@ func main() {
 
 	s := server.New(server.Config{
 		CacheSize:      *cache,
-		CacheShards:    *shards,
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,

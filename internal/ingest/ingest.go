@@ -203,9 +203,10 @@ func (s *Store) Ingest(fp string, up Upload) (*Receipt, error) {
 }
 
 // IngestCtx is Ingest under request-scoped tracing: the upload's
-// "ingest.merge" span (validation + reconstruction + merge) parents
-// from ctx's span when one is present, so a served upload appears in
-// its HTTP request's span tree.
+// "ingest.merge" span (validation + reconstruction + merge, with
+// reconstruction also timed as its own "probes.reconstruct" child)
+// parents from ctx's span when one is present, so a served upload
+// appears in its HTTP request's span tree.
 func (s *Store) IngestCtx(ctx context.Context, fp string, up Upload) (rcpt *Receipt, err error) {
 	sp := obs.StartSpanFrom(ctx, s.obs, "ingest.merge", obs.KV("fp", short(fp)))
 	defer sp.End()
@@ -231,7 +232,9 @@ func (s *Store) IngestCtx(ctx context.Context, fp string, up Upload) (rcpt *Rece
 	}
 
 	// Reconstruction — the expensive step — runs outside every lock.
+	rsp := sp.Child("probes.reconstruct")
 	p, err := probes.Reconstruct(u.plan, up.Vector, nil)
+	rsp.End()
 	if err != nil {
 		return nil, s.reject("invalid", ErrInvalid, "ingest %.12s: %v", fp, err)
 	}

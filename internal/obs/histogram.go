@@ -4,7 +4,6 @@ import (
 	"math"
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram bucket scheme: log-spaced bounds covering 1µs to ~79s when
@@ -49,9 +48,9 @@ type Histogram struct {
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// NewHistogram builds a standalone histogram (clients like
-// cmd/loadtest and the benchmarks aggregate latencies without a full
-// Observer).
+// NewHistogram builds a histogram outside any Observer; benchmarks use
+// it to collect per-operation latencies. Anything that runs under an
+// Observer times itself with spans and reads SpanHistogram instead.
 func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -68,6 +67,23 @@ func (o *Observer) Histogram(name string) *Histogram {
 		h = NewHistogram(name)
 		o.histograms[name] = h
 	}
+	return h
+}
+
+// SpanHistogram returns the latency histogram that spans named span
+// feed, span_seconds{span="<span>"}, registering it on first use so
+// its family is exposed before the first such span ends. Returns nil on
+// a nil Observer. Once the histogram exists, lookups take no lock.
+func (o *Observer) SpanHistogram(span string) *Histogram {
+	if o == nil {
+		return nil
+	}
+	if h, ok := o.spanHists.Load(span); ok {
+		return h.(*Histogram)
+	}
+	// Racing first lookups get the same histogram from the registry.
+	h := o.Histogram(Labels("span_seconds", "span", span))
+	o.spanHists.Store(span, h)
 	return h
 }
 
@@ -120,15 +136,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the seconds elapsed since start — the idiom for
-// latency histograms: defer-free, one call at the end of the region.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the total number of observations (0 on nil).

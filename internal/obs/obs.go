@@ -1,10 +1,17 @@
 // Package obs is the pipeline's observability layer: hierarchical timed
-// spans, named counters and gauges, a JSONL event sink, and a
-// Prometheus-style text exposition. Every entry point is safe on a nil
-// *Observer, and the nil path does no allocation and takes no locks, so
-// a pipeline compiled with observability disabled costs effectively
-// nothing (BenchmarkInterpretCompress is an interpreter run with a nil
-// Observer; BenchmarkObsEnabled is the same run with a live one).
+// spans, named counters, gauges and histograms, a JSONL event sink, and
+// a Prometheus-style text exposition. Every entry point is safe on a
+// nil *Observer, and the nil path does no allocation and takes no
+// locks, so a pipeline compiled with observability disabled costs
+// effectively nothing (BenchmarkInterpretCompress is an interpreter run
+// with a nil Observer; BenchmarkObsEnabled is the same run with a live
+// one).
+//
+// Spans are the one timing mechanism: each span's duration, when it
+// ends, lands in the latency histogram span_seconds{span="<name>"}, so
+// every traced phase is also a latency distribution, and callers read
+// their percentiles from SpanHistogram instead of timing the same
+// interval a second time.
 //
 // The layer is deliberately small: no sampling, no exporters, no
 // global registry. A component receives an *Observer (usually via its
@@ -34,25 +41,22 @@ type Observer struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	spans      map[string]*spanStat
-	sink       EventSink
-	now        func() time.Time
-	start      time.Time
-	seq        atomic.Int64
-}
-
-// spanStat aggregates completed spans of one name for the exposition.
-type spanStat struct {
-	count int64
-	total time.Duration
+	// spanHists indexes the span_seconds histograms of histograms by
+	// bare span name (string -> *Histogram), so Span.End finds its
+	// histogram without taking mu or building the labeled name.
+	spanHists sync.Map
+	sink      EventSink
+	now       func() time.Time
+	start     time.Time
+	seq       atomic.Int64
 }
 
 // Option configures an Observer.
 type Option func(*Observer)
 
-// WithSink routes structured events (span completions, flushed counter
-// and gauge values) to sink. Without a sink, spans still aggregate into
-// the exposition's span_count / span_seconds_total series.
+// WithSink routes structured events (span completions, flushed counter,
+// gauge and histogram values) to sink. Without a sink, spans still feed
+// their span_seconds histograms.
 func WithSink(sink EventSink) Option {
 	return func(o *Observer) { o.sink = sink }
 }
@@ -68,7 +72,6 @@ func New(opts ...Option) *Observer {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		spans:      make(map[string]*spanStat),
 		now:        time.Now,
 	}
 	for _, opt := range opts {
@@ -205,13 +208,12 @@ func Labels(name string, pairs ...string) string {
 
 // --- exposition -------------------------------------------------------------
 
-// WriteProm writes every counter, gauge, histogram, and span aggregate
-// in the Prometheus text exposition format, sorted by series name for
-// deterministic output. Span aggregates appear as span_count{span="x"}
-// and span_seconds_total{span="x"}; histograms follow the scalar
-// series as cumulative <name>_bucket{le=…} ladders with <name>_sum and
-// <name>_count, grouped under one "# TYPE <name> histogram" header per
-// family.
+// WriteProm writes every counter, gauge, and histogram in the
+// Prometheus text exposition format, sorted by series name for
+// deterministic output. Histograms (span latencies among them, as
+// span_seconds{span="x"}) follow the scalar series as cumulative
+// <name>_bucket{le=…} ladders with <name>_sum and <name>_count, grouped
+// under one "# TYPE <name> histogram" header per family.
 func (o *Observer) WriteProm(w io.Writer) error {
 	if o == nil {
 		return nil
@@ -222,22 +224,12 @@ func (o *Observer) WriteProm(w io.Writer) error {
 		val  string
 	}
 	o.mu.Lock()
-	all := make([]series, 0, len(o.counters)+len(o.gauges)+2*len(o.spans))
+	all := make([]series, 0, len(o.counters)+len(o.gauges))
 	for name, c := range o.counters {
 		all = append(all, series{name, "counter", fmt.Sprintf("%d", c.Value())})
 	}
 	for name, g := range o.gauges {
 		all = append(all, series{name, "gauge", formatFloat(g.Value())})
-	}
-	for name, st := range o.spans {
-		all = append(all, series{
-			Labels("span_count", "span", name), "counter",
-			fmt.Sprintf("%d", st.count),
-		})
-		all = append(all, series{
-			Labels("span_seconds_total", "span", name), "counter",
-			formatFloat(st.total.Seconds()),
-		})
 	}
 	hists := make([]*Histogram, 0, len(o.histograms))
 	for _, h := range o.histograms {
@@ -311,25 +303,22 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Snapshot returns the current value of every counter, gauge, and span
-// aggregate as a flat series-name → value map (nil on a nil Observer).
-// cmd/evaluate publishes it through expvar.Func.
+// Snapshot returns the current value of every counter and gauge, and
+// the _count and _sum of every histogram, as a flat series-name → value
+// map (nil on a nil Observer). cmd/evaluate publishes it through
+// expvar.Func.
 func (o *Observer) Snapshot() map[string]float64 {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	m := make(map[string]float64, len(o.counters)+len(o.gauges)+2*len(o.spans)+2*len(o.histograms))
+	m := make(map[string]float64, len(o.counters)+len(o.gauges)+2*len(o.histograms))
 	for name, c := range o.counters {
 		m[name] = float64(c.Value())
 	}
 	for name, g := range o.gauges {
 		m[name] = g.Value()
-	}
-	for name, st := range o.spans {
-		m[Labels("span_count", "span", name)] = float64(st.count)
-		m[Labels("span_seconds_total", "span", name)] = st.total.Seconds()
 	}
 	for name, h := range o.histograms {
 		m[seriesName(name, "_count")] = float64(h.Count())

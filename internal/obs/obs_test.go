@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +49,55 @@ func TestNilObserverIsInert(t *testing.T) {
 	o.Flush()
 	if s := o.Exposition(); s != "" {
 		t.Fatalf("nil exposition = %q", s)
+	}
+	if o.SpanHistogram("x") != nil {
+		t.Fatal("nil observer returned a live span histogram")
+	}
+	if d := o.StartSpan("x").End(); d != 0 {
+		t.Fatalf("nil span End = %v, want 0", d)
+	}
+}
+
+// TestSpanHistogram pins the one timing mechanism: End returns the
+// span's duration and observes it into span_seconds{span=<name>}, and
+// a pre-registered family is exposed before any span of it ends.
+func TestSpanHistogram(t *testing.T) {
+	o := newTestObserver(nil)
+	sp := o.StartSpan("compile")
+	if d := sp.End(); d != time.Millisecond {
+		t.Fatalf("End = %v, want the fake clock's 1ms", d)
+	}
+	if d := sp.End(); d != 0 {
+		t.Fatalf("second End = %v, want 0", d)
+	}
+	h := o.SpanHistogram("compile")
+	if h != o.Histogram(Labels("span_seconds", "span", "compile")) {
+		t.Fatal("span histogram is not the registry's span_seconds series")
+	}
+	if h.Count() != 1 || h.Sum() != 0.001 {
+		t.Fatalf("span histogram count/sum = %d/%v, want 1/0.001", h.Count(), h.Sum())
+	}
+	o.SpanHistogram("server.estimate")
+	if exp := o.Exposition(); !strings.Contains(exp, `span_seconds_count{span="server.estimate"} 0`+"\n") {
+		t.Errorf("pre-registered span family missing from exposition:\n%s", exp)
+	}
+
+	// Ending a span of a known name must not need Observer.mu.
+	o.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		o.StartSpan("compile").End()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("Span.End of a known name blocked on Observer.mu")
+	}
+	o.mu.Unlock()
+	<-done
+	if h.Count() != 2 {
+		t.Errorf("span histogram count = %d, want 2", h.Count())
 	}
 }
 
@@ -164,14 +215,26 @@ func TestJSONLGolden(t *testing.T) {
 	o.Gauge("density").Set(0.5)
 	o.Flush()
 
-	want := strings.Join([]string{
+	// Flush ends with each span name's latency histogram. Its quantiles
+	// interpolate inside a bucket, so * stands for their digits (the
+	// quantile math has its own tests); every other byte is pinned.
+	want := []string{
 		`{"type":"span","name":"run","id":2,"parent":1,"start_us":2000,"dur_us":1000}`,
 		`{"type":"span","name":"load","id":1,"start_us":1000,"dur_us":3000,"attrs":{"prog":"gcc"}}`,
 		`{"type":"gauge","name":"density","start_us":5000,"value":0.5}`,
 		`{"type":"counter","name":"runs_total","start_us":5000,"value":3}`,
-	}, "\n") + "\n"
-	if got := buf.String(); got != want {
-		t.Errorf("JSONL mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+		`{"type":"histogram","name":"span_seconds{span=\"load\"}","start_us":5000,"value":1,"attrs":{"p50":*,"p90":*,"p99":*,"p999":*,"sum":0.003}}`,
+		`{"type":"histogram","name":"span_seconds{span=\"run\"}","start_us":5000,"value":1,"attrs":{"p50":*,"p90":*,"p99":*,"p999":*,"sum":0.001}}`,
+		``,
+	}
+	got := strings.Split(buf.String(), "\n")
+	ok := len(got) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		re := "^" + strings.ReplaceAll(regexp.QuoteMeta(want[i]), `\*`, `[0-9.e-]+`) + "$"
+		ok = regexp.MustCompile(re).MatchString(got[i])
+	}
+	if !ok {
+		t.Errorf("JSONL mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), strings.Join(want, "\n"))
 	}
 }
 
@@ -184,6 +247,7 @@ func TestExpositionFormat(t *testing.T) {
 	sp := o.StartSpan("compile")
 	sp.End()
 
+	var sb strings.Builder
 	want := strings.Join([]string{
 		`# TYPE eval_runs_total counter`,
 		`eval_runs_total{prog="awk"} 1`,
@@ -192,11 +256,18 @@ func TestExpositionFormat(t *testing.T) {
 		`interp_blocks_executed_total 42`,
 		`# TYPE probes_arc_reduction gauge`,
 		`probes_arc_reduction 0.375`,
-		`# TYPE span_count counter`,
-		`span_count{span="compile"} 1`,
-		`# TYPE span_seconds_total counter`,
-		`span_seconds_total{span="compile"} 0.001`,
+		`# TYPE span_seconds histogram`,
 	}, "\n") + "\n"
+	// The 1ms span counts in every bucket from le="0.001" (bucket 30) up.
+	for i, le := range histLabels {
+		n := 0
+		if i >= 30 {
+			n = 1
+		}
+		fmt.Fprintf(&sb, "span_seconds_bucket{span=\"compile\",le=%q} %d\n", le, n)
+	}
+	want += sb.String() + `span_seconds_sum{span="compile"} 0.001` + "\n" +
+		`span_seconds_count{span="compile"} 1` + "\n"
 	if got := o.Exposition(); got != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}

@@ -69,31 +69,21 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs[key] = value
 }
 
-// End closes the span: its duration is added to the per-name aggregate
-// (span_count / span_seconds_total in the exposition) and, with a sink
-// configured, a span event is emitted. Events therefore appear in end
-// order — children before their parents. Safe on nil; a second End is
-// ignored.
-func (s *Span) End() {
+// End closes the span and returns its duration. The duration is
+// observed into the span name's histogram (Observer.SpanHistogram) and,
+// with a sink configured, a span event is emitted. Events therefore
+// appear in end order — children before their parents. Safe on nil; a
+// second End is ignored. Both return 0.
+func (s *Span) End() time.Duration {
 	if s == nil || s.ended {
-		return
+		return 0
 	}
 	s.ended = true
 	o := s.obs
 	dur := o.now().Sub(s.start)
+	o.SpanHistogram(s.name).Observe(dur.Seconds())
 
-	o.mu.Lock()
-	st, ok := o.spans[s.name]
-	if !ok {
-		st = &spanStat{}
-		o.spans[s.name] = st
-	}
-	st.count++
-	st.total += dur
-	sink := o.sink
-	o.mu.Unlock()
-
-	if sink != nil || s.capture != nil {
+	if sink := o.sink; sink != nil || s.capture != nil {
 		e := Event{
 			Type:    "span",
 			Name:    s.name,
@@ -108,6 +98,7 @@ func (s *Span) End() {
 		}
 		s.capture.add(e)
 	}
+	return dur
 }
 
 // SpanCapture collects the span events of one subtree in memory. Built

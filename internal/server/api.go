@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -139,7 +140,7 @@ func (s *Server) handleEstimate(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := s.estimateBody(c, &req)
+	body, err := s.estimateBody(r.Context(), c, &req)
 	if err != nil {
 		return nil, err
 	}
@@ -152,21 +153,21 @@ func (s *Server) handleEstimate(r *http.Request) (any, error) {
 // ranking and marshaling, repeat hits — including batch items — copy
 // bytes. Both /v1/estimate and /v1/batch serve from it, which is what
 // makes a batch item byte-identical to the equivalent single call.
-func (s *Server) estimateBody(c *compiled, req *EstimateRequest) ([]byte, error) {
+func (s *Server) estimateBody(ctx context.Context, c *compiled, req *EstimateRequest) ([]byte, error) {
 	top := 10
 	if req.Top != nil {
 		top = *req.Top
 	}
 	key := fmt.Sprintf("estimate|top=%d|reuse=%t", top, req.Reuse)
 	return c.response(key, func() (any, error) {
-		return buildEstimate(c, top, req.Reuse)
+		return buildEstimate(ctx, c, top, req.Reuse)
 	})
 }
 
 // buildEstimate computes the estimate response value (the expensive
 // part that c.response memoizes in encoded form).
-func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
-	est := c.estimates()
+func buildEstimate(ctx context.Context, c *compiled, top int, withReuse bool) (any, error) {
+	est := c.estimates(ctx)
 	u := c.unit
 
 	resp := &EstimateResponse{Program: u.Name, Fingerprint: c.fingerprint}
@@ -216,7 +217,7 @@ func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
 	resp.CallSites = sites
 	if withReuse {
 		var err error
-		resp.Reuse, err = reuseReport(c, top)
+		resp.Reuse, err = reuseReport(ctx, c, top)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +228,7 @@ func buildEstimate(c *compiled, top int, withReuse bool) (any, error) {
 // reuseReport derives the static reuse-distance summaries for the
 // estimate endpoint: one line per estimator source over the program's
 // memory references, plus the hottest references under smart.
-func reuseReport(c *compiled, top int) (*ReuseReport, error) {
+func reuseReport(ctx context.Context, c *compiled, top int) (*ReuseReport, error) {
 	tab := reuse.BuildTable(c.unit.CFG)
 	rep := &ReuseReport{Refs: len(tab.Refs)}
 	if len(tab.Refs) == 0 {
@@ -243,7 +244,7 @@ func reuseReport(c *compiled, top int) (*ReuseReport, error) {
 	}
 	var smart *reuse.Profile
 	for _, kind := range opt.EstimateKinds {
-		src, err := opt.EstimateSource(c.unit.CFG, c.estimates(), kind)
+		src, err := opt.EstimateSource(c.unit.CFG, c.estimates(ctx), kind)
 		if err != nil {
 			return nil, errUnprocessable("reuse estimate: %v", err)
 		}
@@ -392,7 +393,7 @@ func (s *Server) handleProfile(r *http.Request) (any, error) {
 
 	var prof *profile.Profile
 	if instr == "sparse" {
-		plan := c.probePlan()
+		plan := c.probePlan(r.Context())
 		opts.Instrumentation = staticest.SparseInstrumentation
 		opts.Plan = plan
 		res, err := u.Run(opts)
@@ -619,7 +620,7 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 			// Cold fingerprint: nothing ingested yet, so the static
 			// estimator serves until the fleet warms it up.
 			fallback = "smart"
-			if fsrc, err = opt.EstimateSource(u.CFG, c.estimates(), "smart"); err != nil {
+			if fsrc, err = opt.EstimateSource(u.CFG, c.estimates(r.Context()), "smart"); err != nil {
 				return nil, errBadRequest("%v", err)
 			}
 		}
@@ -635,7 +636,7 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 		}
 		fsrc = opt.ProfileSource(u.CFG, xp, "xprof")
 	default:
-		fsrc, err = opt.EstimateSource(u.CFG, c.estimates(), kind)
+		fsrc, err = opt.EstimateSource(u.CFG, c.estimates(r.Context()), kind)
 		if err != nil {
 			return nil, errBadRequest("%v", err)
 		}
@@ -644,7 +645,7 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 	resp := &OptimizeResponse{Program: u.Name, Fingerprint: c.fingerprint,
 		FreqSource: kind, Fallback: fallback, Uploads: uploads}
 	if want["inline"] {
-		plan := u.PlanInline(fsrc, req.Budget)
+		plan := u.PlanInlineCtx(r.Context(), fsrc, req.Budget)
 		rep := &InlineReport{
 			Budget:   plan.Budget,
 			Eligible: len(plan.Eligible),

@@ -20,6 +20,10 @@ import (
 // byte-identical to the single-call response for the same (source,
 // options) pair (internal/check.BatchOracle pins this).
 
+// maxBatchItems caps the item count of one POST /v1/batch request;
+// larger batches get 413.
+const maxBatchItems = 256
+
 // BatchRequest asks for estimates of many programs at once. Each item
 // is a full EstimateRequest, so items can mix suite programs and inline
 // sources with per-item options.
@@ -48,9 +52,9 @@ func (s *Server) handleBatch(r *http.Request) (any, error) {
 	if n == 0 {
 		return nil, errUnprocessable(`batch needs at least one entry in "items"`)
 	}
-	if n > s.cfg.MaxBatchItems {
+	if n > maxBatchItems {
 		return nil, &httpError{status: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("batch of %d items exceeds the %d-item limit", n, s.cfg.MaxBatchItems)}
+			msg: fmt.Sprintf("batch of %d items exceeds the %d-item limit", n, maxBatchItems)}
 	}
 	s.batchItems.Add(int64(n))
 
@@ -153,7 +157,7 @@ func (s *Server) estimateItem(ctx context.Context, item *EstimateRequest) batchR
 	if err != nil {
 		return batchErr(err)
 	}
-	body, err := s.estimateBody(c, item)
+	body, err := s.estimateBody(ctx, c, item)
 	if err != nil {
 		return batchErr(err)
 	}

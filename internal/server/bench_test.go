@@ -57,7 +57,7 @@ func BenchmarkServeEstimate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		do()
-		lat.ObserveSince(start)
+		lat.Observe(time.Since(start).Seconds())
 	}
 	b.StopTimer()
 	reportPercentiles(b, lat)
@@ -104,7 +104,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		do()
-		lat.ObserveSince(start)
+		lat.Observe(time.Since(start).Seconds())
 	}
 	b.StopTimer()
 	reportPercentiles(b, lat)
@@ -154,7 +154,7 @@ func BenchmarkIngest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		do(fmt.Sprintf("b%d", i))
-		lat.ObserveSince(start)
+		lat.Observe(time.Since(start).Seconds())
 	}
 	b.StopTimer()
 	reportPercentiles(b, lat)

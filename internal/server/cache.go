@@ -3,14 +3,13 @@ package server
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"encoding/json"
 	"runtime"
 	"sync"
-	"time"
 
 	"staticest"
 	"staticest/internal/core"
-	"staticest/internal/obs"
 	"staticest/internal/probes"
 )
 
@@ -54,16 +53,17 @@ type memoBody struct {
 }
 
 // estimates returns the unit's static estimates, computing them on
-// first use.
-func (c *compiled) estimates() *core.Estimates {
-	c.estOnce.Do(func() { c.est = c.unit.Estimate() })
+// first use under ctx's span: the request that computes them shows the
+// work in its span tree.
+func (c *compiled) estimates(ctx context.Context) *core.Estimates {
+	c.estOnce.Do(func() { c.est = c.unit.EstimateCtx(ctx) })
 	return c.est
 }
 
 // probePlan returns the unit's sparse probe placement, computing it on
-// first use.
-func (c *compiled) probePlan() *probes.Plan {
-	c.planOnce.Do(func() { c.plan = c.unit.PlanProbes() })
+// first use under ctx's span, like estimates.
+func (c *compiled) probePlan(ctx context.Context) *probes.Plan {
+	c.planOnce.Do(func() { c.plan = c.unit.PlanProbesCtx(ctx) })
 	return c.plan
 }
 
@@ -136,16 +136,6 @@ func encodeBody(v any) ([]byte, error) {
 type unitCache struct {
 	shards []*cacheShard
 	mask   uint32
-
-	// hitSeconds and compileSeconds split get's latency distribution by
-	// path: a cache hit is a map lookup (microseconds), a miss pays for
-	// a compile (milliseconds) — one merged histogram would hide the
-	// miss tail entirely. Flight waiters observe into compileSeconds:
-	// they did not compile, but their latency is compile latency.
-	// Nil histograms (tests building a bare cache) record nothing.
-	// Shared across shards (obs.Histogram is lock-free).
-	hitSeconds     *obs.Histogram
-	compileSeconds *obs.Histogram
 }
 
 // cacheShard is one stripe: a bounded LRU plus the in-flight compiles
@@ -236,20 +226,17 @@ func hexNibble(c byte) byte {
 // (the cache-miss leader); waiters deduplicated onto another caller's
 // in-flight compile report a hit, because no additional work happened.
 func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*compiled, bool, error) {
-	start := time.Now()
 	sh := uc.shardFor(key)
 	sh.mu.Lock()
 	if el, ok := sh.byKey[key]; ok {
 		sh.lru.MoveToFront(el)
 		c := el.Value.(*compiled)
 		sh.mu.Unlock()
-		uc.hitSeconds.ObserveSince(start)
 		return c, false, nil
 	}
 	if f, ok := sh.flights[key]; ok {
 		sh.mu.Unlock()
 		<-f.done
-		uc.compileSeconds.ObserveSince(start)
 		return f.c, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
@@ -269,7 +256,6 @@ func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*
 	}
 	sh.mu.Unlock()
 	close(f.done)
-	uc.compileSeconds.ObserveSince(start)
 	return f.c, true, err
 }
 

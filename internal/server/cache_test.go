@@ -10,12 +10,17 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"staticest"
+	"staticest/internal/obs"
 )
 
 // fakeKey fabricates a fingerprint-shaped hex key whose leading
@@ -47,6 +52,29 @@ func TestCacheShardDefaults(t *testing.T) {
 	want := nextPow2(runtime.GOMAXPROCS(0))
 	if got := newUnitCache(64, 0).numShards(); got != want {
 		t.Errorf("default shards = %d, want nextPow2(GOMAXPROCS) = %d", got, want)
+	}
+}
+
+// TestCacheEviction pins the LRU bound through the server: with a
+// one-unit, one-shard cache, a second source evicts the first, so
+// re-requesting the first recompiles. (One shard makes the two sources
+// contend for the same slot regardless of GOMAXPROCS; the per-shard
+// bound under striping is TestCacheShardEviction.)
+func TestCacheEviction(t *testing.T) {
+	s := New(Config{Obs: obs.New()})
+	s.cache = newUnitCache(1, 1)
+	srcA := "int main(void) { return 0; }"
+	srcB := "int main(void) { return 1; }"
+	for _, src := range []string{srcA, srcB, srcA} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/estimate",
+			strings.NewReader(`{"source":`+strconv.Quote(src)+`}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	if miss := s.misses.Value(); miss != 3 {
+		t.Errorf("server_cache_miss = %d, want 3 (A, B, A-again after eviction)", miss)
 	}
 }
 

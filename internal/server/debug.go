@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -17,7 +16,7 @@ import (
 
 // This file is the server's ops surface: request identity, the slow-
 // request ring, GET /v1/debug/status, GET /v1/debug/slow, and the
-// runtime collector behind the runtime_* gauges.
+// runtime sampler behind the runtime_* gauges.
 
 // --- request identity -------------------------------------------------------
 
@@ -117,10 +116,13 @@ type slowEntry struct {
 	capture *obs.SpanCapture
 }
 
+// slowRingSize is K, the number of slowest requests whose span trees
+// GET /v1/debug/slow retains.
+const slowRingSize = 16
+
 // slowRing keeps the K slowest requests seen, sorted slowest-first.
-// offer is O(K) worst case with K small (Config.SlowRingSize, default
-// 16) and returns in O(1) for the common request that is faster than
-// everything retained.
+// offer is O(K) worst case with K small and returns in O(1) for the
+// common request that is faster than everything retained.
 type slowRing struct {
 	mu      sync.Mutex
 	max     int
@@ -209,7 +211,7 @@ type SlowResponse struct {
 }
 
 func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
-	resp := &SlowResponse{Capacity: s.cfg.SlowRingSize, Requests: []SlowRequest{}}
+	resp := &SlowResponse{Capacity: slowRingSize, Requests: []SlowRequest{}}
 	for _, e := range s.slow.snapshot() {
 		resp.Requests = append(resp.Requests, SlowRequest{
 			ReqID:    e.ReqID,
@@ -224,14 +226,14 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
 
 // --- GET /v1/debug/status ---------------------------------------------------
 
-// CacheStatus summarizes the compiled-unit cache.
+// CacheStatus summarizes the compiled-unit cache. Compile digests the
+// "compile" span histogram.
 type CacheStatus struct {
 	Units    int         `json:"units"`
 	Shards   int         `json:"shards"`
 	Hits     int64       `json:"hits"`
 	Misses   int64       `json:"misses"`
 	HitRatio float64     `json:"hit_ratio"`
-	Hit      obs.Summary `json:"hit_seconds"`
 	Compile  obs.Summary `json:"compile_seconds"`
 }
 
@@ -261,7 +263,8 @@ type RuntimeStatus struct {
 
 // StatusResponse is the GET /v1/debug/status reply: the one-page ops
 // snapshot — is the cache working, is the fleet uploading, where are
-// the latency percentiles, is the runtime healthy.
+// the latency percentiles, is the runtime healthy. Endpoints digests
+// each endpoint's server.<endpoint> span histogram.
 type StatusResponse struct {
 	UptimeSeconds float64                `json:"uptime_seconds"`
 	Cache         CacheStatus            `json:"cache"`
@@ -286,8 +289,7 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 			Hits:     hits,
 			Misses:   misses,
 			HitRatio: ratio,
-			Hit:      s.cache.hitSeconds.Summarize(),
-			Compile:  s.cache.compileSeconds.Summarize(),
+			Compile:  s.obs.SpanHistogram("compile").Summarize(),
 		},
 		Batch: BatchStatus{
 			Items:      s.batchItems.Value(),
@@ -310,7 +312,7 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	for _, ep := range s.endpoints {
-		resp.Endpoints[ep] = s.obs.Histogram(obs.Labels("server_request_seconds", "endpoint", ep)).Summarize()
+		resp.Endpoints[ep] = s.obs.SpanHistogram("server." + ep).Summarize()
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -331,13 +333,12 @@ func writeDebugJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// --- runtime collector ------------------------------------------------------
+// --- runtime sampler --------------------------------------------------------
 
 // sampleRuntime refreshes the runtime_* gauges from the Go runtime.
-// Called synchronously by /metrics and /v1/debug/status (scrape-fresh
-// values) and periodically by runtimeCollector while Serve runs (so a
-// trace Flush or an exposition dump between scrapes still carries
-// recent values).
+// /metrics and /v1/debug/status call it per scrape, and Serve once
+// after the drain, so an exit-time exposition or trace Flush carries
+// fresh values.
 func (s *Server) sampleRuntime() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -346,19 +347,4 @@ func (s *Server) sampleRuntime() {
 	s.obs.Gauge("runtime_heap_sys_bytes").Set(float64(ms.HeapSys))
 	s.obs.Gauge("runtime_gc_runs_total").Set(float64(ms.NumGC))
 	s.obs.Gauge("runtime_gc_pause_seconds_total").Set(float64(ms.PauseTotalNs) / 1e9)
-}
-
-// runtimeCollector samples the runtime gauges every
-// Config.RuntimeSampleInterval until ctx is cancelled.
-func (s *Server) runtimeCollector(ctx context.Context) {
-	t := time.NewTicker(s.cfg.RuntimeSampleInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.sampleRuntime()
-		}
-	}
 }

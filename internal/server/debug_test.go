@@ -123,7 +123,7 @@ func TestRequestTraceReconstruction(t *testing.T) {
 	}
 	walk(root.ID)
 
-	for _, want := range []string{"compile", "compile.parse", "interp.run"} {
+	for _, want := range []string{"compile", "cparse.parse", "interp.run"} {
 		if !reach[want] {
 			t.Errorf("span %q not reachable from the request root; got %v", want, reach)
 		}
@@ -226,17 +226,10 @@ func TestDebugStatus(t *testing.T) {
 	}
 }
 
-// TestDebugSlow checks the slow-request ring: after serving requests,
-// /v1/debug/slow returns their span trees, slowest first, each rooted
-// at the endpoint's server span with the compile under it.
-func TestDebugSlow(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{SlowRingSize: 4})
-	body := `{"source":` + jsonString(strchrSrc) + `}`
-	if status, b := post(t, ts.URL+"/v1/estimate", body); status != 200 {
-		t.Fatalf("estimate: %d %s", status, b)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/debug/slow")
+// getSlow fetches and decodes GET /v1/debug/slow.
+func getSlow(t *testing.T, base string) server.SlowResponse {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/debug/slow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +238,38 @@ func TestDebugSlow(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&slow); err != nil {
 		t.Fatal(err)
 	}
-	if slow.Capacity != 4 {
-		t.Errorf("capacity = %d, want 4", slow.Capacity)
+	return slow
+}
+
+// spanNames returns the names of every span in the tree under n.
+func spanNames(n *server.SpanNode) map[string]bool {
+	names := map[string]bool{}
+	var walk func(n *server.SpanNode)
+	walk = func(n *server.SpanNode) {
+		names[n.Name] = true
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	if n != nil {
+		walk(n)
+	}
+	return names
+}
+
+// TestDebugSlow checks the slow-request ring: after serving requests,
+// /v1/debug/slow returns their span trees, slowest first, each rooted
+// at the endpoint's server span with the compile under it.
+func TestDebugSlow(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	body := `{"source":` + jsonString(strchrSrc) + `}`
+	if status, b := post(t, ts.URL+"/v1/estimate", body); status != 200 {
+		t.Fatalf("estimate: %d %s", status, b)
+	}
+
+	slow := getSlow(t, ts.URL)
+	if slow.Capacity != 16 {
+		t.Errorf("capacity = %d, want 16", slow.Capacity)
 	}
 	if len(slow.Requests) == 0 {
 		t.Fatal("slow ring is empty after a served request")
@@ -263,28 +286,66 @@ func TestDebugSlow(t *testing.T) {
 	if first.Trace == nil || first.Trace.Name != "server.estimate" {
 		t.Fatalf("slow entry trace root = %+v, want server.estimate", first.Trace)
 	}
-	names := map[string]bool{}
-	var walk func(n *server.SpanNode)
-	walk = func(n *server.SpanNode) {
-		names[n.Name] = true
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(first.Trace)
-	if !names["compile"] {
+	if names := spanNames(first.Trace); !names["compile"] {
 		t.Errorf("slow trace missing compile span: %v", names)
 	}
 }
 
-// TestMetricsHistogramFamilies pins the /metrics exposition of the new
-// observability families: per-endpoint latency histograms with their
-// cumulative bucket ladders, response-class counters, the cache-path
-// histograms, and the runtime gauges.
+// TestSlowTraceCoversPipeline checks that work a request triggers
+// beyond the compile — a memoized artifact's first computation, or
+// the optimizer — lands in that request's span tree instead of opening
+// a disconnected root: the slow ring shows core.estimate under a cold
+// estimate, probes.plan under the first sparse profile, and
+// opt.plan_inline under a live optimize.
+func TestSlowTraceCoversPipeline(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	src := jsonString(strchrSrc)
+	want := map[string]string{}
+	for _, rq := range []struct{ endpoint, body, span string }{
+		{"estimate", `{"source":` + src + `}`, "core.estimate"},
+		{"profile", `{"source":` + src + `,"instrumentation":"sparse"}`, "probes.plan"},
+		{"optimize", `{"source":` + src + `,"freq_source":"live"}`, "opt.plan_inline"},
+	} {
+		if status, b := post(t, ts.URL+"/v1/"+rq.endpoint, rq.body); status != 200 {
+			t.Fatalf("%s: %d %s", rq.endpoint, status, b)
+		}
+		want[rq.endpoint] = rq.span
+	}
+
+	for _, r := range getSlow(t, ts.URL).Requests {
+		span, ok := want[r.Endpoint]
+		if !ok {
+			continue
+		}
+		if names := spanNames(r.Trace); !names[span] {
+			t.Errorf("%s trace has no %s span: %v", r.Endpoint, span, names)
+		}
+		delete(want, r.Endpoint)
+	}
+	if len(want) > 0 {
+		t.Errorf("slow ring holds no request for %v", want)
+	}
+}
+
+// TestMetricsHistogramFamilies pins the /metrics exposition of the
+// latency families: after a cold estimate, a sparse profile, an upload
+// and a live optimize, every span those requests ran — endpoint and
+// pipeline layer alike — is a span_seconds histogram with a cumulative
+// bucket ladder, next to the response-class counters and the runtime
+// gauges.
 func TestMetricsHistogramFamilies(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != 200 {
-		t.Fatalf("estimate: %d %s", status, b)
+	src := jsonString(strchrSrc)
+	vec, fp := strchrVector(t)
+	for _, rq := range []struct{ path, body string }{
+		{"/v1/estimate", `{"source":` + src + `}`},
+		{"/v1/profile", `{"source":` + src + `,"instrumentation":"sparse"}`},
+		{"/v1/profiles/ingest", ingestBody(t, map[string]any{"fingerprint": fp, "counts": vec.Counts})},
+		{"/v1/optimize", `{"source":` + src + `,"freq_source":"live"}`},
+	} {
+		if status, b := post(t, ts.URL+rq.path, rq.body); status != 200 {
+			t.Fatalf("%s: %d %s", rq.path, status, b)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -294,13 +355,11 @@ func TestMetricsHistogramFamilies(t *testing.T) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{
-		"# TYPE server_request_seconds histogram",
-		`server_request_seconds_bucket{endpoint="estimate",le="+Inf"} 1`,
-		`server_request_seconds_count{endpoint="estimate"} 1`,
+		"# TYPE span_seconds histogram",
+		`span_seconds_bucket{span="server.estimate",le="+Inf"} 1`,
+		`span_seconds_count{span="server.estimate"} 1`,
 		`server_responses_total{endpoint="estimate",class="2xx"} 1`,
-		"# TYPE server_compile_seconds histogram",
-		"server_compile_seconds_count 1",
-		"# TYPE server_cache_hit_seconds histogram",
+		`span_seconds_count{span="compile"} 1`,
 		`ingest_rejects_total{reason="duplicate"} 0`,
 		"# TYPE runtime_goroutines gauge",
 		"# TYPE runtime_heap_alloc_bytes gauge",
@@ -308,6 +367,16 @@ func TestMetricsHistogramFamilies(t *testing.T) {
 	} {
 		if !bytes.Contains(b, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for _, span := range []string{
+		"server.estimate", "compile", "cparse.parse", "sem.analyze", "cfg.build",
+		"callgraph.build", "core.estimate", "probes.plan", "interp.run",
+		"server.ingest", "ingest.merge", "probes.reconstruct", "opt.plan_inline",
+	} {
+		series := regexp.MustCompile(`(?m)^span_seconds_count\{span="` + regexp.QuoteMeta(span) + `"\} [1-9]`)
+		if !series.Match(b) {
+			t.Errorf("/metrics has no observed span_seconds_count for span %q", span)
 		}
 	}
 	// Every line parses as either a comment or "<series> <value>".

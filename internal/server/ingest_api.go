@@ -69,7 +69,7 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 			return "", errUnprocessable("fingerprint %.12s does not match the supplied source (%.12s)",
 				req.Fingerprint, c.fingerprint)
 		}
-		s.registerLive(c)
+		s.registerLive(ctx, c)
 		return c.fingerprint, nil
 	}
 	if req.Fingerprint == "" {
@@ -81,7 +81,7 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 	// A fingerprint the server has compiled before (estimate/optimize)
 	// but never ingested: promote it from the compile cache.
 	if c, ok := s.cache.lookup(req.Fingerprint); ok {
-		s.registerLive(c)
+		s.registerLive(ctx, c)
 		return c.fingerprint, nil
 	}
 	return "", errNotFound("unknown fingerprint %.12s: upload the source once (or query it first)",
@@ -90,8 +90,8 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 
 // registerLive registers c with the ingest store and pins it so LRU
 // eviction cannot orphan a live aggregate.
-func (s *Server) registerLive(c *compiled) {
-	s.ingest.Register(c.fingerprint, c.unit.Name, c.probePlan())
+func (s *Server) registerLive(ctx context.Context, c *compiled) {
+	s.ingest.Register(c.fingerprint, c.unit.Name, c.probePlan(ctx))
 	s.liveUnits.Store(c.fingerprint, c)
 }
 
@@ -198,11 +198,11 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 		Program:     c.unit.Name,
 		Uploads:     snap.Uploads,
 		Epoch:       snap.Epoch,
-		Probes:      c.probePlan().NumProbes,
+		Probes:      c.probePlan(r.Context()).NumProbes,
 		MergeOrder:  s.ingest.MergeOrder(fp),
 	}
 	if q.Get("agreement") != "" {
-		rows, err := eval.AgreementRows(c.unit.Name, c.unit, c.estimates(), snap.Profile)
+		rows, err := eval.AgreementRows(c.unit.Name, c.unit, c.estimates(r.Context()), snap.Profile)
 		if err != nil {
 			return nil, errUnprocessable("agreement for %.12s: %v", fp, err)
 		}

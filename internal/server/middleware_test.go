@@ -4,6 +4,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,5 +121,36 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	if n := s.cache.len(); n != 0 {
 		t.Errorf("cache holds %d units after failed compiles, want 0", n)
+	}
+}
+
+// TestSlowRing pins the slow ring's retention policy: it keeps the K
+// slowest requests sorted slowest-first, a slower arrival evicts the
+// fastest retained one, a request no slower than every retained one
+// is rejected without reordering, and snapshot returns a copy.
+func TestSlowRing(t *testing.T) {
+	sr := newSlowRing(3)
+	ids := func() []string {
+		var out []string
+		for _, e := range sr.snapshot() {
+			out = append(out, e.ReqID)
+		}
+		return out
+	}
+	for _, d := range []int64{20, 50, 10, 40} {
+		sr.offer(slowEntry{ReqID: strconv.FormatInt(d, 10), DurUS: d})
+	}
+	if got, want := ids(), []string{"50", "40", "20"}; !slices.Equal(got, want) {
+		t.Fatalf("ring = %v, want %v (10 evicted by 40)", got, want)
+	}
+	sr.offer(slowEntry{ReqID: "fast", DurUS: 5})
+	sr.offer(slowEntry{ReqID: "tie", DurUS: 20})
+	if got, want := ids(), []string{"50", "40", "20"}; !slices.Equal(got, want) {
+		t.Fatalf("ring = %v after fast offers, want %v unchanged", got, want)
+	}
+	snap := sr.snapshot()
+	snap[0].ReqID = "mutated"
+	if got := ids()[0]; got != "50" {
+		t.Errorf("snapshot aliases the ring: slowest is now %q", got)
 	}
 }

@@ -22,12 +22,13 @@ import (
 	"staticest/internal/obs"
 )
 
-// benchServer builds a server whose cache holds hotSet prewarmed
-// generated programs, returning the fingerprint keys and matching
-// requests.
+// benchServer builds a server whose cache, striped over shards (0: the
+// server's default), holds hotSet prewarmed generated programs,
+// returning the fingerprint keys and matching requests.
 func benchServer(b *testing.B, shards, hotSet int) (*Server, []string, []EstimateRequest) {
 	b.Helper()
-	s := New(Config{Obs: obs.New(), CacheShards: shards, CacheSize: hotSet * 2})
+	s := New(Config{Obs: obs.New()})
+	s.cache = newUnitCache(hotSet*2, shards)
 	keys := make([]string, hotSet)
 	reqs := make([]EstimateRequest, hotSet)
 	for i := 0; i < hotSet; i++ {
@@ -39,7 +40,7 @@ func benchServer(b *testing.B, shards, hotSet int) (*Server, []string, []Estimat
 		}
 		keys[i] = staticest.Fingerprint(src)
 		reqs[i] = EstimateRequest{}
-		if _, err := s.estimateBody(c, &reqs[i]); err != nil {
+		if _, err := s.estimateBody(context.Background(), c, &reqs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +57,7 @@ func serveOne(s *Server, key string, req *EstimateRequest) error {
 	if err != nil {
 		return err
 	}
-	body, err := s.estimateBody(c, req)
+	body, err := s.estimateBody(context.Background(), c, req)
 	if err != nil {
 		return err
 	}
@@ -82,7 +83,7 @@ func serveOneBaseline(s *Server, key string, req *EstimateRequest) error {
 	if req.Top != nil {
 		top = *req.Top
 	}
-	v, err := buildEstimate(c, top, req.Reuse)
+	v, err := buildEstimate(context.Background(), c, top, req.Reuse)
 	if err != nil {
 		return err
 	}
@@ -139,7 +140,7 @@ func BenchmarkServeEstimateParallel(b *testing.B) {
 						failed.Add(1)
 						return
 					}
-					lat.ObserveSince(start)
+					lat.Observe(time.Since(start).Seconds())
 				}
 			})
 			b.StopTimer()

@@ -16,18 +16,20 @@
 // compile error, 422 on every endpoint: an allocation the Go runtime
 // cannot satisfy ends the process, which no recovery layer can catch.
 // The server always carries an observability domain: per-endpoint RED
-// instrumentation (request/response counters by status class, latency
-// histograms), cache-hit vs compile-path latency histograms,
+// instrumentation (request/response counters by status class),
 // server_cache_hit / server_cache_miss / server_inflight series, and a
 // root span per request carrying a request ID (accepted from
 // traceparent or X-Request-ID, echoed back, and propagated via the
-// request context through compile, interpretation, and ingest so one
-// request is one span tree in the trace). It mounts its
-// Prometheus-style exposition (/metrics), an ops snapshot
-// (/v1/debug/status), the span trees of the slowest requests
-// (/v1/debug/slow), and net/http/pprof (/debug/pprof/) on the same
-// mux. Serve drains in-flight requests before returning when its
-// context is cancelled (cmd/serve wires that to SIGTERM/SIGINT).
+// request context through compile, estimation, probe planning,
+// interpretation, ingest and inline planning, so one request is one
+// span tree in the trace). Spans are the only clock: every latency the
+// server reports, per endpoint and per layer, is a span_seconds
+// histogram (see obs.SpanHistogram). It mounts its Prometheus-style
+// exposition (/metrics), an ops snapshot (/v1/debug/status), the span
+// trees of the slowest requests (/v1/debug/slow), and net/http/pprof
+// (/debug/pprof/) on the same mux. Serve drains in-flight requests
+// before returning when its context is cancelled (cmd/serve wires that
+// to SIGTERM/SIGINT).
 package server
 
 import (
@@ -53,14 +55,6 @@ import (
 type Config struct {
 	// CacheSize bounds the compiled-unit LRU (default 64 units).
 	CacheSize int
-	// CacheShards stripes the unit cache over independently-locked LRU
-	// shards. Values are rounded up to a power of two; <= 0 picks the
-	// next power of two >= GOMAXPROCS. One shard reproduces the old
-	// single-mutex cache exactly.
-	CacheShards int
-	// MaxBatchItems caps the item count of one POST /v1/batch request;
-	// larger batches get 413 (default 256).
-	MaxBatchItems int
 	// MaxBodyBytes caps request bodies (default 4 MiB — the largest
 	// suite source is well under 1 MiB).
 	MaxBodyBytes int64
@@ -82,14 +76,6 @@ type Config struct {
 	// MaxSteps bounds each served interpreter run's block executions
 	// (default 50 million; the interpreter's own default is 200M).
 	MaxSteps int64
-	// SlowRingSize bounds the ring of slowest requests whose span trees
-	// are retained for GET /v1/debug/slow (default 16).
-	SlowRingSize int
-	// RuntimeSampleInterval paces the background runtime collector that
-	// refreshes the runtime_* gauges while Serve runs; /metrics and
-	// /v1/debug/status also refresh them synchronously per scrape
-	// (default 10s).
-	RuntimeSampleInterval time.Duration
 	// Obs is the observability domain. The server requires one — its
 	// cache counters and /metrics exposition are part of the API — so
 	// a nil Obs means "create a private Observer", not "disable".
@@ -99,9 +85,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
@@ -120,12 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 50_000_000
-	}
-	if c.SlowRingSize <= 0 {
-		c.SlowRingSize = 16
-	}
-	if c.RuntimeSampleInterval <= 0 {
-		c.RuntimeSampleInterval = 10 * time.Second
 	}
 	if c.Obs == nil {
 		c.Obs = obs.New()
@@ -158,7 +135,7 @@ type Server struct {
 	batchItemErrors *obs.Counter
 
 	// endpoints lists the API endpoint names in registration order;
-	// /v1/debug/status walks it to summarize the per-endpoint latency
+	// /v1/debug/status walks it to summarize the server.<endpoint> span
 	// histograms. Written only during New.
 	endpoints []string
 	slow      *slowRing
@@ -171,7 +148,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		obs:      cfg.Obs,
-		cache:    newUnitCache(cfg.CacheSize, cfg.CacheShards),
+		cache:    newUnitCache(cfg.CacheSize, 0), // next power of two >= GOMAXPROCS shards
 		ingest:   ingest.NewStore(cfg.Obs),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
@@ -182,11 +159,9 @@ func New(cfg Config) *Server {
 
 		batchItems:      cfg.Obs.Counter("server_batch_items_total"),
 		batchItemErrors: cfg.Obs.Counter("server_batch_item_errors_total"),
-		slow:            newSlowRing(cfg.SlowRingSize),
+		slow:            newSlowRing(slowRingSize),
 		started:         time.Now(),
 	}
-	s.cache.hitSeconds = cfg.Obs.Histogram("server_cache_hit_seconds")
-	s.cache.compileSeconds = cfg.Obs.Histogram("server_compile_seconds")
 	s.sampleRuntime()
 
 	s.mux.Handle("POST /v1/estimate", s.api("estimate", s.handleEstimate))
@@ -271,11 +246,11 @@ type rawJSON []byte
 // api wraps an endpoint handler in the middleware stack, innermost
 // first: JSON encoding and error mapping, panic-to-500 recovery with
 // the inflight gauge and per-endpoint RED instrumentation around it
-// (request counters, response counters by status class, a latency
-// histogram), the worker semaphore, and the outermost wall-clock
-// timeout (http.TimeoutHandler replies 503 and discards the late
-// handler's writes; pipeline work is bounded separately by
-// Config.MaxSteps).
+// (request counters, response counters by status class, and the
+// latency histogram the request's span feeds), the worker semaphore,
+// and the outermost wall-clock timeout (http.TimeoutHandler replies 503
+// and discards the late handler's writes; pipeline work is bounded
+// separately by Config.MaxSteps).
 //
 // Every request runs under a root span named "server.<endpoint>"
 // carrying the request ID (accepted from traceparent / X-Request-ID or
@@ -290,7 +265,7 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 	requests := s.obs.Counter(obs.Labels("server_requests_total", "endpoint", name))
 	errorsC := s.obs.Counter(obs.Labels("server_errors_total", "endpoint", name))
 	panics := s.obs.Counter("server_panics_total")
-	durations := s.obs.Histogram(obs.Labels("server_request_seconds", "endpoint", name))
+	s.obs.SpanHistogram("server." + name) // exposed from the first scrape
 	var classes [6]*obs.Counter
 	for c := 2; c <= 5; c++ {
 		classes[c] = s.obs.Counter(obs.Labels("server_responses_total",
@@ -298,7 +273,6 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 	}
 
 	inner := func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		reqID := requestID(r)
 		w.Header().Set("X-Request-ID", reqID)
 		sw := &statusWriter{ResponseWriter: w}
@@ -310,9 +284,7 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 		sp := s.obs.StartSpan("server."+name, obs.KV("req_id", reqID))
 		capture := sp.Capture()
 		defer func() {
-			sp.End()
-			dur := time.Since(start)
-			durations.Observe(dur.Seconds())
+			dur := sp.End()
 			if c := sw.status / 100; c >= 2 && c <= 5 {
 				classes[c].Add(1)
 			}
@@ -421,7 +393,8 @@ func decode(r *http.Request, v any) error {
 // hit/miss counters. name labels ad-hoc sources (default "prog.c").
 // ctx carries the request's span: a cache-miss compile attaches to the
 // tree of the request that triggered it (the singleflight leader's,
-// when waiters deduplicate onto an in-flight compile).
+// when waiters deduplicate onto an in-flight compile; a waiter's wait
+// shows only in its own request span).
 func (s *Server) compileCached(ctx context.Context, name string, src []byte) (*compiled, error) {
 	if name == "" {
 		name = "prog.c"
@@ -449,7 +422,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	go s.runtimeCollector(ctx)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -459,7 +431,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
-	return hs.Shutdown(dctx)
+	err := hs.Shutdown(dctx)
+	s.sampleRuntime() // fresh runtime_* gauges for an exit-time exposition or Flush
+	return err
 }
 
 // ListenAndServe listens on addr and calls Serve.

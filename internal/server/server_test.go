@@ -172,28 +172,6 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestCacheEviction pins the LRU bound: with a one-unit, one-shard
-// cache, a second source evicts the first, so re-requesting the first
-// recompiles. (CacheShards is pinned to 1 so the two sources contend
-// for the same shard's single slot regardless of GOMAXPROCS; the
-// per-shard bound under striping is covered in cache_test.go.)
-func TestCacheEviction(t *testing.T) {
-	o := obs.New()
-	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: 1, CacheShards: 1})
-
-	src2 := strings.Replace(strchrSrc, "my_strchr", "my_strchr2", -1)
-	reqA := `{"source":` + jsonString(strchrSrc) + `}`
-	reqB := `{"source":` + jsonString(src2) + `}`
-	for _, body := range []string{reqA, reqB, reqA} {
-		if status, b := post(t, ts.URL+"/v1/estimate", body); status != http.StatusOK {
-			t.Fatalf("status %d: %s", status, b)
-		}
-	}
-	if miss := o.Counter("server_cache_miss").Value(); miss != 3 {
-		t.Errorf("server_cache_miss = %d, want 3 (A, B, A-again after eviction)", miss)
-	}
-}
-
 // TestRequestErrors exercises the failure modes of the API surface.
 func TestRequestErrors(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{MaxBodyBytes: 2048})
@@ -277,7 +255,7 @@ func TestMetricsAndHealth(t *testing.T) {
 	for _, series := range []string{
 		"server_cache_miss 1",
 		`server_requests_total{endpoint="estimate"} 1`,
-		`span_count{span="server.estimate"} 1`,
+		`span_seconds_count{span="server.estimate"} 1`,
 		"server_inflight 0",
 	} {
 		if !bytes.Contains(b, []byte(series)) {

@@ -4,8 +4,8 @@
 # aggregate's decision agreement converges to the offline eval values
 # (the -tol check).
 # After the soak, /metrics is scraped and the run fails if any expected
-# metric family (per-endpoint latency histograms, shed/reject counters,
-# runtime gauges) is missing or any exposition line is unparseable.
+# metric family (span latency histograms, shed/reject counters, runtime
+# gauges) is missing or any exposition line is unparseable.
 # The server is then shut down gracefully, so the drain path runs too.
 #
 #   scripts/fleet_soak.sh                 # 200 uploads of compress
@@ -54,12 +54,13 @@ curl -sf "http://$addr/metrics" >"$metrics" || {
 	exit 1
 }
 for family in \
-	'# TYPE server_request_seconds histogram' \
-	'server_request_seconds_bucket{endpoint="ingest",le="+Inf"}' \
-	'server_request_seconds_count{endpoint="ingest"}' \
+	'# TYPE span_seconds histogram' \
+	'span_seconds_bucket{span="server.ingest",le="+Inf"}' \
+	'span_seconds_count{span="server.ingest"}' \
+	'span_seconds_count{span="compile"}' \
+	'span_seconds_count{span="ingest.merge"}' \
+	'span_seconds_count{span="probes.reconstruct"}' \
 	'server_responses_total{endpoint="ingest",class="2xx"}' \
-	'# TYPE server_compile_seconds histogram' \
-	'# TYPE server_cache_hit_seconds histogram' \
 	'server_shed_total' \
 	'ingest_uploads_total' \
 	'ingest_rejects_total{reason="duplicate"}' \

@@ -70,9 +70,11 @@ func Compile(name string, src []byte) (*Unit, error) {
 	return CompileObs(name, src, nil)
 }
 
-// CompileObs is Compile with observability: each phase (parse, analyze,
-// cfg, callgraph) runs under a timed span, and the unit remembers the
-// observer so later Run/Estimate/PlanProbes calls report to it too.
+// CompileObs is Compile with observability: each phase runs under a
+// timed child span of "compile" named after the layer that does it
+// (cparse.parse, sem.analyze, cfg.build, callgraph.build), and the unit
+// remembers the observer so later Run/Estimate/PlanProbes calls report
+// to it too.
 func CompileObs(name string, src []byte, o *obs.Observer) (*Unit, error) {
 	return CompileCtx(context.Background(), name, src, o)
 }
@@ -85,28 +87,28 @@ func CompileCtx(ctx context.Context, name string, src []byte, o *obs.Observer) (
 	sp := obs.StartSpanFrom(ctx, o, "compile", obs.KV("prog", name))
 	defer sp.End()
 
-	phase := sp.Child("compile.parse")
+	phase := sp.Child("cparse.parse")
 	file, err := cparse.ParseFile(name, src)
 	phase.End()
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
 	}
 
-	phase = sp.Child("compile.analyze")
+	phase = sp.Child("sem.analyze")
 	prog, err := sem.Analyze(file)
 	phase.End()
 	if err != nil {
 		return nil, fmt.Errorf("analyze %s: %w", name, err)
 	}
 
-	phase = sp.Child("compile.cfg")
+	phase = sp.Child("cfg.build")
 	cp, err := cfg.Build(prog)
 	phase.End()
 	if err != nil {
 		return nil, fmt.Errorf("cfg %s: %w", name, err)
 	}
 
-	phase = sp.Child("compile.callgraph")
+	phase = sp.Child("callgraph.build")
 	cg := callgraph.Build(prog)
 	phase.End()
 
@@ -159,13 +161,23 @@ type Estimates = core.Estimates
 // default configuration (smart branch predictions, loop count 5,
 // predicted-arm probability 0.8).
 func (u *Unit) Estimate() *Estimates {
-	return u.EstimateWith(core.DefaultConfig())
+	return u.EstimateCtx(context.Background())
+}
+
+// EstimateCtx is Estimate with request-scoped tracing: its
+// "core.estimate" span attaches under ctx's span, as in CompileCtx.
+func (u *Unit) EstimateCtx(ctx context.Context) *Estimates {
+	return u.estimate(ctx, core.DefaultConfig())
 }
 
 // EstimateWith computes estimates under a custom configuration (used by
 // the ablation benchmarks).
 func (u *Unit) EstimateWith(cfg core.Config) *Estimates {
-	sp := u.obs.StartSpan("estimate", obs.KV("prog", u.Name))
+	return u.estimate(context.Background(), cfg)
+}
+
+func (u *Unit) estimate(ctx context.Context, cfg core.Config) *Estimates {
+	sp := obs.StartSpanFrom(ctx, u.obs, "core.estimate", obs.KV("prog", u.Name))
 	defer sp.End()
 	return core.EstimateAll(u.CFG, u.Call, cfg)
 }
@@ -194,7 +206,13 @@ type ProbeVector = probes.Vector
 // with SparseInstrumentation, then recover the full profile with
 // Reconstruct.
 func (u *Unit) PlanProbes() *ProbePlan {
-	sp := u.obs.StartSpan("probes.plan", obs.KV("prog", u.Name))
+	return u.PlanProbesCtx(context.Background())
+}
+
+// PlanProbesCtx is PlanProbes with request-scoped tracing: its
+// "probes.plan" span attaches under ctx's span, as in CompileCtx.
+func (u *Unit) PlanProbesCtx(ctx context.Context) *ProbePlan {
+	sp := obs.StartSpanFrom(ctx, u.obs, "probes.plan", obs.KV("prog", u.Name))
 	defer sp.End()
 	plan := probes.BuildPlan(u.CFG, probes.SmartWeights(u.CFG, core.DefaultConfig()))
 	plan.Record(u.obs)
@@ -244,7 +262,13 @@ func (u *Unit) ProfileFreqSource(p *profile.Profile, name string) *FreqSource {
 // frequencies and greedily selects them under a size budget (cloned
 // callee blocks; <= 0 selects opt.DefaultBudget).
 func (u *Unit) PlanInline(src *FreqSource, budget int) *InlinePlan {
-	sp := u.obs.StartSpan("opt.inline.plan",
+	return u.PlanInlineCtx(context.Background(), src, budget)
+}
+
+// PlanInlineCtx is PlanInline with request-scoped tracing: its
+// "opt.plan_inline" span attaches under ctx's span, as in CompileCtx.
+func (u *Unit) PlanInlineCtx(ctx context.Context, src *FreqSource, budget int) *InlinePlan {
+	sp := obs.StartSpanFrom(ctx, u.obs, "opt.plan_inline",
 		obs.KV("prog", u.Name), obs.KV("source", src.Name))
 	defer sp.End()
 	return opt.PlanInline(u.CFG, u.Call, src, budget)
