@@ -1,13 +1,22 @@
 package staticest_test
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"staticest"
+	"staticest/internal/callgraph"
+	"staticest/internal/cast"
+	"staticest/internal/cfg"
+	"staticest/internal/clex"
 	"staticest/internal/core"
+	"staticest/internal/cparse"
 	"staticest/internal/eval"
+	"staticest/internal/gen"
 	"staticest/internal/metric"
+	"staticest/internal/sem"
 	"staticest/internal/suite"
 )
 
@@ -287,32 +296,131 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 
 // --- micro-benchmarks of the pipeline stages --------------------------------
 
-func BenchmarkCompileSuiteProgram(b *testing.B) {
-	prog, err := suite.ByName("xlisp")
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkCompilePhases times each phase of a cold compile and estimate,
+// the work a cache miss does, over one fixed pool of programs: the 14
+// suite programs plus 32 generated ones whose seeds a fixed-seed
+// generator draws. One op covers the whole pool. Each sub-benchmark runs
+// one phase on the previous phases' output, built before the timer
+// starts:
+//
+//	lex        clex.Tokenize
+//	parse      cparse.ParseFile, which lexes first, as the cparse.parse span does
+//	sem        sem.Analyze, on files parsed afresh with the timer stopped,
+//	           because it annotates the AST
+//	cfg        cfg.Build
+//	callgraph  callgraph.Build
+//	estimate   core.EstimateAll in the default configuration; constant
+//	           folding runs inside its branch prediction
+//	all        staticest.Compile then Unit.Estimate
+//
+// Bytecode lowering has no sub-benchmark: an estimate never lowers.
+func BenchmarkCompilePhases(b *testing.B) {
+	type input struct {
+		name string
+		src  []byte
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := staticest.Compile("xlisp.c", []byte(prog.Source)); err != nil {
+	var pool []input
+	for _, p := range suite.Programs() {
+		pool = append(pool, input{p.Name + ".c", []byte(p.Source)})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		seed := rng.Int63()
+		pool = append(pool, input{fmt.Sprintf("gen%d.c", seed), gen.Source(seed)})
+	}
+	units := make([]*staticest.Unit, len(pool))
+	for i, in := range pool {
+		u, err := staticest.Compile(in.name, in.src)
+		if err != nil {
 			b.Fatal(err)
 		}
+		units[i] = u
 	}
-}
+	parseAll := func(b *testing.B) []*cast.File {
+		files := make([]*cast.File, len(pool))
+		for i, in := range pool {
+			f, err := cparse.ParseFile(in.name, in.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			files[i] = f
+		}
+		return files
+	}
+	conf := core.DefaultConfig()
 
-func BenchmarkEstimateSuiteProgram(b *testing.B) {
-	prog, err := suite.ByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	u, err := prog.CompileCached()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		u.Estimate()
-	}
+	b.Run("lex", func(b *testing.B) {
+		b.ReportAllocs()
+		var tokens int
+		for i := 0; i < b.N; i++ {
+			tokens = 0
+			for _, in := range pool {
+				toks, err := clex.Tokenize(in.name, in.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tokens += len(toks)
+			}
+		}
+		b.ReportMetric(float64(tokens), "tokens")
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			parseAll(b)
+		}
+	})
+	b.Run("sem", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			files := parseAll(b)
+			b.StartTimer()
+			for _, f := range files {
+				if _, err := sem.Analyze(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("cfg", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, u := range units {
+				if _, err := cfg.Build(u.Sem); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("callgraph", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, u := range units {
+				callgraph.Build(u.Sem)
+			}
+		}
+	})
+	b.Run("estimate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, u := range units {
+				core.EstimateAll(u.CFG, u.Call, conf)
+			}
+		}
+	})
+	b.Run("all", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, in := range pool {
+				u, err := staticest.Compile(in.name, in.src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				u.Estimate()
+			}
+		}
+	})
 }
 
 // BenchmarkInlineXlisp measures the optimizer subsystem's planning plus

@@ -63,6 +63,11 @@ func TestIntLiterals(t *testing.T) {
 		{"42L", 42, false, true},
 		{"42UL", 42, true, true},
 		{"1ul", 1, true, true},
+		// The largest value of each base still fits.
+		{"18446744073709551615", 1<<64 - 1, true, false},
+		{"0xFFFFFFFFFFFFFFFF", 1<<64 - 1, true, false},
+		{"01777777777777777777777", 1<<64 - 1, true, false},
+		{"9223372036854775807", 1<<63 - 1, false, false},
 	}
 	for _, tc := range cases {
 		toks, err := Tokenize("t.c", []byte(tc.src))
@@ -96,7 +101,7 @@ func TestFloatLiterals(t *testing.T) {
 }
 
 func TestCharAndStringLiterals(t *testing.T) {
-	toks, err := Tokenize("t.c", []byte(`'a' '\n' '\0' '\x41' '\\' "hi\tthere" ; "a" "b"`))
+	toks, err := Tokenize("t.c", []byte(`'a' '\n' '\0' '\x41' '\\' "hi\tthere" ; "a" "b" '\377' '\x0ff'`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +111,18 @@ func TestCharAndStringLiterals(t *testing.T) {
 			t.Errorf("char %d = %+v, want %d", i, toks[i], w)
 		}
 	}
-	if string(toks[5].StrVal) != "hi\tthere" {
-		t.Errorf("string = %q", toks[5].StrVal)
+	if toks[5].Text != "hi\tthere" {
+		t.Errorf("string = %q", toks[5].Text)
 	}
 	// Adjacent string literals concatenate into one token.
-	if string(toks[7].StrVal) != "ab" {
-		t.Errorf("concatenated = %q", toks[7].StrVal)
+	if toks[7].Text != "ab" {
+		t.Errorf("concatenated = %q", toks[7].Text)
+	}
+	// The largest escapes still fit in a byte.
+	for _, tok := range toks[8:10] {
+		if tok.Kind != ctoken.CharLit || tok.IntVal != 0xff {
+			t.Errorf("escape = %+v, want 255", tok)
+		}
 	}
 }
 
@@ -176,9 +187,21 @@ func TestLexErrors(t *testing.T) {
 		"#define X(",
 		"#pragma once",
 		"@",
-		"1.5e", // handled: 'e' needs digits... this lexes as 1.5 then ident e — not an error
+		// Integer literals whose value does not fit in 64 bits, including
+		// ones whose multiply wraps past the previous value.
+		"30000000000000000000",
+		"0x1FFFFFFFFFFFFFFFF",
+		"03777777777777777777777",
+		// A hex prefix with no digits.
+		"0x",
+		"0X",
+		// Escapes above 255 in character and string literals.
+		`'\400'`,
+		`'\xfff'`,
+		`"a\400"`,
+		`"\x100"`,
 	}
-	for _, src := range bad[:7] {
+	for _, src := range bad {
 		if _, err := Tokenize("t.c", []byte(src)); err == nil {
 			t.Errorf("expected error for %q", src)
 		}

@@ -59,7 +59,7 @@ func (p *parser) assignExpr() (cast.Expr, error) {
 }
 
 func (p *parser) condExpr() (cast.Expr, error) {
-	c, err := p.binaryExpr(0)
+	c, err := p.binaryExpr(1)
 	if err != nil {
 		return nil, err
 	}
@@ -84,63 +84,72 @@ func (p *parser) condExpr() (cast.Expr, error) {
 	return x, nil
 }
 
-// binLevel describes one precedence level of binary operators, lowest
-// first.
-type binLevel struct {
-	toks []ctoken.Kind
-	ops  []cast.BinaryOp
-	// logical is set for && and ||, which build Logical nodes.
-	logical bool
-	andAnd  bool
+// binOp is a binary operator: its precedence, from 1 for || up to 10 for
+// * / %, and the operation a cast.Binary node of it performs. && and ||
+// build cast.Logical nodes instead.
+type binOp struct {
+	prec int
+	op   cast.BinaryOp
 }
 
-var binLevels = []binLevel{
-	{toks: []ctoken.Kind{ctoken.OrOr}, logical: true},
-	{toks: []ctoken.Kind{ctoken.AndAnd}, logical: true, andAnd: true},
-	{toks: []ctoken.Kind{ctoken.Pipe}, ops: []cast.BinaryOp{cast.Or}},
-	{toks: []ctoken.Kind{ctoken.Caret}, ops: []cast.BinaryOp{cast.Xor}},
-	{toks: []ctoken.Kind{ctoken.Amp}, ops: []cast.BinaryOp{cast.And}},
-	{toks: []ctoken.Kind{ctoken.EqEq, ctoken.NotEq}, ops: []cast.BinaryOp{cast.Eq, cast.Ne}},
-	{toks: []ctoken.Kind{ctoken.Lt, ctoken.Gt, ctoken.Le, ctoken.Ge},
-		ops: []cast.BinaryOp{cast.Lt, cast.Gt, cast.Le, cast.Ge}},
-	{toks: []ctoken.Kind{ctoken.Shl, ctoken.Shr}, ops: []cast.BinaryOp{cast.Shl, cast.Shr}},
-	{toks: []ctoken.Kind{ctoken.Plus, ctoken.Minus}, ops: []cast.BinaryOp{cast.Add, cast.Sub}},
-	{toks: []ctoken.Kind{ctoken.Star, ctoken.Slash, ctoken.Percent},
-		ops: []cast.BinaryOp{cast.Mul, cast.Div, cast.Rem}},
+// binOps is indexed by token kind; a zero prec marks a token that is not
+// a binary operator.
+var binOps = [...]binOp{
+	ctoken.OrOr:    {prec: 1},
+	ctoken.AndAnd:  {prec: 2},
+	ctoken.Pipe:    {3, cast.Or},
+	ctoken.Caret:   {4, cast.Xor},
+	ctoken.Amp:     {5, cast.And},
+	ctoken.EqEq:    {6, cast.Eq},
+	ctoken.NotEq:   {6, cast.Ne},
+	ctoken.Lt:      {7, cast.Lt},
+	ctoken.Gt:      {7, cast.Gt},
+	ctoken.Le:      {7, cast.Le},
+	ctoken.Ge:      {7, cast.Ge},
+	ctoken.Shl:     {8, cast.Shl},
+	ctoken.Shr:     {8, cast.Shr},
+	ctoken.Plus:    {9, cast.Add},
+	ctoken.Minus:   {9, cast.Sub},
+	ctoken.Star:    {10, cast.Mul},
+	ctoken.Slash:   {10, cast.Div},
+	ctoken.Percent: {10, cast.Rem},
 }
 
-func (p *parser) binaryExpr(level int) (cast.Expr, error) {
-	if level >= len(binLevels) {
-		return p.castExpr()
+func binOpOf(k ctoken.Kind) binOp {
+	if int(k) < len(binOps) {
+		return binOps[k]
 	}
-	lv := binLevels[level]
-	x, err := p.binaryExpr(level + 1)
+	return binOp{}
+}
+
+// binaryExpr parses a binary expression whose operators all have
+// precedence minPrec (at least 1) or higher, by precedence climbing: after
+// each operand it looks up the next token's precedence once, and parses
+// the right operand of an operator with precedence p as a
+// binaryExpr(p+1), which makes every level left-associative.
+func (p *parser) binaryExpr(minPrec int) (cast.Expr, error) {
+	x, err := p.castExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := -1
-		for i, k := range lv.toks {
-			if p.at(k) {
-				matched = i
-				break
-			}
-		}
-		if matched < 0 {
+		k := p.kind()
+		bo := binOpOf(k)
+		if bo.prec < minPrec {
 			return x, nil
 		}
 		pos := p.pos()
 		p.next()
-		y, err := p.binaryExpr(level + 1)
+		y, err := p.binaryExpr(bo.prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		if lv.logical {
-			l := &cast.Logical{AndAnd: lv.andAnd, X: x, Y: y}
+		if k == ctoken.OrOr || k == ctoken.AndAnd {
+			l := &cast.Logical{AndAnd: k == ctoken.AndAnd, X: x, Y: y}
 			l.P = pos
 			x = l
 		} else {
-			b := &cast.Binary{Op: lv.ops[matched], X: x, Y: y}
+			b := &cast.Binary{Op: bo.op, X: x, Y: y}
 			b.P = pos
 			x = b
 		}
@@ -325,7 +334,7 @@ func (p *parser) primaryExpr() (cast.Expr, error) {
 		return x, nil
 	case ctoken.StrLit:
 		t := p.next()
-		x := &cast.StrLit{Val: t.StrVal, DataIndex: -1}
+		x := &cast.StrLit{Val: []byte(t.Text), DataIndex: -1}
 		x.P = pos
 		return x, nil
 	case ctoken.Ident:

@@ -221,18 +221,78 @@ int pick(int c) {
 	}
 }
 
+// TestParseExpressionPrecedence pins the tree the parser builds for binary
+// operators: every pair of adjacent precedence levels in both orders, left
+// associativity within each of the ten levels, and their interplay with
+// the unary, cast, conditional and assignment operators around them.
+// ExprString parenthesizes every compound operand, so each rendering
+// spells out the tree.
 func TestParseExpressionPrecedence(t *testing.T) {
-	src := `int f(int a, int b, int c) { return a + b * c - (a << 2) % b | c & a; }`
-	f := mustParse(t, src)
-	ret := f.Funcs[0].Body.Stmts[0].(*cast.Return)
-	// Top must be | with & on the right.
-	or, ok := ret.X.(*cast.Binary)
-	if !ok || or.Op != cast.Or {
-		t.Fatalf("top = %s, want |", cast.ExprString(ret.X))
+	cases := []struct{ src, want string }{
+		// Adjacent levels, lower first and higher first.
+		{"a || b && c", "a || (b && c)"},
+		{"a && b || c", "(a && b) || c"},
+		{"a && b | c", "a && (b | c)"},
+		{"a | b && c", "(a | b) && c"},
+		{"a | b ^ c", "a | (b ^ c)"},
+		{"a ^ b | c", "(a ^ b) | c"},
+		{"a ^ b & c", "a ^ (b & c)"},
+		{"a & b ^ c", "(a & b) ^ c"},
+		{"a & b == c", "a & (b == c)"},
+		{"a != b & c", "(a != b) & c"},
+		{"a == b < c", "a == (b < c)"},
+		{"a > b != c", "(a > b) != c"},
+		{"a <= b << c", "a <= (b << c)"},
+		{"a >> b >= c", "(a >> b) >= c"},
+		{"a << b + c", "a << (b + c)"},
+		{"a - b >> c", "(a - b) >> c"},
+		{"a + b * c", "a + (b * c)"},
+		{"a % b - c", "(a % b) - c"},
+		// Left associativity within each level.
+		{"a || b || c", "(a || b) || c"},
+		{"a && b && c", "(a && b) && c"},
+		{"a | b | c", "(a | b) | c"},
+		{"a ^ b ^ c", "(a ^ b) ^ c"},
+		{"a & b & c", "(a & b) & c"},
+		{"a == b != c", "(a == b) != c"},
+		{"a < b >= c", "(a < b) >= c"},
+		{"a > b <= c", "(a > b) <= c"},
+		{"a << b >> c", "(a << b) >> c"},
+		{"a - b - c", "(a - b) - c"},
+		{"a - b + c", "(a - b) + c"},
+		{"a / b % c", "(a / b) % c"},
+		{"a * b / c", "(a * b) / c"},
+		// Longer chains that climb and fall back.
+		{"a && b || c && d", "(a && b) || (c && d)"},
+		{"a || b && c || d", "(a || (b && c)) || d"},
+		{"a + b * c - d", "(a + (b * c)) - d"},
+		{"a * b + c * d", "(a * b) + (c * d)"},
+		{"a | b & c == d + e * f", "a | (b & (c == (d + (e * f))))"},
+		{"a * b + c == d & e | f", "((((a * b) + c) == d) & e) | f"},
+		{"a + b * c - (a << 2) % b | c & a", "((a + (b * c)) - ((a << 2) % b)) | (c & a)"},
+		// Operands are unary, cast and postfix expressions; ?: and =
+		// bind looser than every binary operator.
+		{"-a * b", "(-a) * b"},
+		{"!a && b", "(!a) && b"},
+		{"(long)a + b", "((long)a) + b"},
+		{"*p + a[1] * c", "(*p) + (a[1] * c)"},
+		{"a++ - --b", "a++ - (--b)"},
+		{"sizeof a + b", "(sizeof a) + b"},
+		{"a || b ? c + d : e - f", "(a || b) ? (c + d) : (e - f)"},
+		{"e = a << b | c", "e = (a << b) | c"},
+		{"e += a - b - c", "e += (a - b) - c"},
 	}
-	and, ok := or.Y.(*cast.Binary)
-	if !ok || and.Op != cast.And {
-		t.Fatalf("rhs = %s, want &", cast.ExprString(or.Y))
+	for _, tc := range cases {
+		src := "void f(int a, int b, int c, int d, int e, int f, int *p) { " + tc.src + "; }"
+		file, err := ParseFile("prec.c", []byte(src))
+		if err != nil {
+			t.Errorf("%s: %v", tc.src, err)
+			continue
+		}
+		x := file.Funcs[0].Body.Stmts[0].(*cast.ExprStmt).X
+		if got := cast.ExprString(x); got != tc.want {
+			t.Errorf("%s parsed as %s, want %s", tc.src, got, tc.want)
+		}
 	}
 }
 

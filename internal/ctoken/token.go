@@ -100,7 +100,9 @@ const (
 	numTokenKind // sentinel
 )
 
-var kindNames = map[Kind]string{
+// kindNames spells each kind; a keyword's name is its spelling, which
+// the lexer gives keyword tokens as their text.
+var kindNames = [numTokenKind]string{
 	EOF: "EOF", Ident: "identifier", IntLit: "integer literal",
 	FloatLit: "float literal", CharLit: "character literal", StrLit: "string literal",
 	KwBreak: "break", KwCase: "case", KwChar: "char", KwConst: "const",
@@ -125,8 +127,8 @@ var kindNames = map[Kind]string{
 
 // String returns a human-readable name for the token kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && k < numTokenKind && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -146,10 +148,12 @@ var Keywords = map[string]Kind{
 }
 
 // Pos is a source position: file name plus 1-based line and column.
+// Line and column are int32 to keep tokens and AST nodes, which all
+// carry a position, small.
 type Pos struct {
 	File string
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 // String renders the position as file:line:col.
@@ -164,15 +168,15 @@ func (p Pos) String() string {
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // Token is a single lexed token. For IntLit/CharLit, IntVal holds the
-// value; for FloatLit, FloatVal; for StrLit, StrVal holds the bytes after
-// escape processing (without the terminating NUL).
+// value; for FloatLit, FloatVal; for StrLit, Text holds the bytes after
+// escape processing (without the terminating NUL). A token is 72 bytes
+// on 64-bit platforms.
 type Token struct {
 	Kind     Kind
 	Text     string
 	Pos      Pos
 	IntVal   uint64
 	FloatVal float64
-	StrVal   []byte
 	Unsigned bool // integer literal had a U suffix or exceeds the signed range
 	Long     bool // integer literal had an L suffix
 }
@@ -183,7 +187,7 @@ func (t Token) String() string {
 	case Ident, IntLit, FloatLit, CharLit:
 		return fmt.Sprintf("%s %q", t.Kind, t.Text)
 	case StrLit:
-		return fmt.Sprintf("string %q", string(t.StrVal))
+		return fmt.Sprintf("string %q", t.Text)
 	default:
 		return t.Kind.String()
 	}

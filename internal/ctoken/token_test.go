@@ -23,9 +23,14 @@ func TestKindStrings(t *testing.T) {
 
 func TestKeywordsTableComplete(t *testing.T) {
 	// Every keyword kind must be reachable from the spelling table.
+	// The lexer gives a keyword token its kind's name as text, so the
+	// name must be the spelling.
 	seen := map[Kind]bool{}
-	for _, k := range Keywords {
+	for spelling, k := range Keywords {
 		seen[k] = true
+		if k.String() != spelling {
+			t.Errorf("%q lexes as %v, whose name differs", spelling, k)
+		}
 	}
 	for k := KwBreak; k <= KwWhile; k++ {
 		if !seen[k] {
@@ -76,7 +81,7 @@ func TestTokenString(t *testing.T) {
 	if tok.String() != `integer literal "42"` {
 		t.Errorf("token string = %q", tok.String())
 	}
-	str := Token{Kind: StrLit, StrVal: []byte("hi")}
+	str := Token{Kind: StrLit, Text: "hi"}
 	if str.String() != `string "hi"` {
 		t.Errorf("string token = %q", str.String())
 	}
