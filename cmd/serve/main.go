@@ -26,9 +26,12 @@
 // falling back to the smart static estimate for cold fingerprints.
 //
 // Inline sources are untrusted programs. Each run executes bytecode
-// under a -max-steps budget, and a source declaring an object over 1 GiB
-// (ctypes.MaxObjectSize: an array, a struct, a function's frame, or all
-// globals together) is a compile error, 422 on every endpoint.
+// under a -max-steps budget and stops at the request's -timeout
+// deadline, when the client gets 503. A source declaring an object over
+// 1 GiB (ctypes.MaxObjectSize: an array, a struct, a function's frame,
+// or all globals together), a function of more than 2,048 blocks, or
+// more than 2,048 functions (cfg.MaxNodes) is a compile error, 422 on
+// every endpoint.
 //
 // When every worker slot is busy, a request waits at most -queue-wait
 // before being shed with 429 + Retry-After, so saturation degrades into
@@ -64,7 +67,7 @@ import (
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
 	cache := flag.Int("cache", 64, "compiled units kept in the LRU cache")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-request wall-clock budget")
+	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline: runs stop and the client gets 503")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
 	maxSteps := flag.Int64("max-steps", 50_000_000, "block-execution budget per served run")

@@ -105,13 +105,28 @@ type Program struct {
 	Lowered   any
 }
 
-// Build constructs control-flow graphs for every function.
+// MaxNodes bounds both Markov systems the estimators solve, each a
+// dense n×n matrix: the blocks of one function (core.IntraMarkov) and
+// the functions of one unit (core.EstimateInterMarkov). Build rejects a
+// program over it, so a solve's matrix and its copy take at most
+// 2 × 32 MiB instead of growing as n² with the source.
+const MaxNodes = 2048
+
+// Build constructs control-flow graphs for every function. A unit of
+// more than MaxNodes functions, or a function of more than MaxNodes
+// blocks, is an error.
 func Build(sp *sem.Program) (*Program, error) {
+	if n := len(sp.Funcs); n > MaxNodes {
+		return nil, fmt.Errorf("%d functions exceed the %d-function limit", n, MaxNodes)
+	}
 	p := &Program{Sem: sp, ByFunc: make(map[*cast.FuncDecl]*Graph)}
 	for _, fd := range sp.Funcs {
 		g, err := buildFunc(fd)
 		if err != nil {
 			return nil, err
+		}
+		if n := len(g.Blocks); n > MaxNodes {
+			return nil, fmt.Errorf("%s: %d basic blocks exceed the %d-block limit", fd.Name(), n, MaxNodes)
 		}
 		p.Graphs = append(p.Graphs, g)
 		p.ByFunc[fd] = g

@@ -159,21 +159,17 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 	for pc := 0; ; pc++ {
 		in := &code[pc]
 		switch in.Op {
+		// step comes last in the block cases: its slow path, a call
+		// that returns, then rejoins at the loop head. Placed first, the
+		// join fell on the block's own work, and the compiler reloaded
+		// that work's registers from the stack on every block entry.
 		case bc.OpBlockFull:
-			m.steps++
-			if m.steps > m.maxT {
-				m.budgetExhausted = true
-				m.fail("step budget exceeded (%d block executions)", m.maxT)
-			}
 			counts[in.A]++
 			m.cycles += float64(in.B) * factor
+			m.step()
 		case bc.OpBlockSparse:
-			m.steps++
-			if m.steps > m.maxT {
-				m.budgetExhausted = true
-				m.fail("step budget exceeded (%d block executions)", m.maxT)
-			}
 			tr.Block = int(in.A)
+			m.step()
 		case bc.OpJump:
 			pc = int(in.A) - 1
 		case bc.OpBr:

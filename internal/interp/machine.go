@@ -119,8 +119,9 @@ type Options struct {
 	// Ctx, when it carries a span (see obs.ContextWithSpan), parents
 	// the run's "interp.run" span under it — the serving layer uses
 	// this to connect an interpreter run to the HTTP request that
-	// triggered it. A nil or span-less Ctx leaves spans rooted at Obs;
-	// the context is not consulted during execution.
+	// triggered it. A nil or span-less Ctx leaves spans rooted at Obs.
+	// Execution polls Ctx every 2^14 block executions and fails with
+	// "run cancelled: <ctx error>" once it is done.
 	Ctx context.Context
 	// MemRefs, when non-nil, switches on the compact memory-access
 	// trace: every execution of a mapped array/pointer reference
@@ -219,6 +220,10 @@ type Machine struct {
 	calls           int64
 	builtins        int64
 	budgetExhausted bool
+
+	// Step checkpoint state (see step).
+	next int64           // step's slow path runs past it: the sooner of maxT and the next poll of ctx
+	ctx  context.Context // nil when nothing can cancel the run
 }
 
 // Run executes the program's bytecode lowering (see internal/bc) to
@@ -351,12 +356,16 @@ func newMachine(p *cfg.Program, opts Options) *Machine {
 		stdin:   opts.Stdin,
 		rng:     0x2545F4914F6CDD1D,
 		maxT:    maxSteps,
+		next:    maxSteps,
 		o:       opts.Obs,
 		memRefs: opts.MemRefs,
 		memMax:  opts.MaxMemAccesses,
 	}
 	if m.memRefs != nil && m.memMax == 0 {
 		m.memMax = 16_000_000
+	}
+	if opts.Ctx != nil && opts.Ctx.Done() != nil {
+		m.ctx, m.next = opts.Ctx, min(maxSteps, pollInterval)
 	}
 	if opts.Instrumentation == SparseInstrumentation {
 		m.sparse = true
@@ -421,6 +430,33 @@ func (m *Machine) seg(id uint64) *segment {
 
 func (m *Machine) fail(format string, args ...any) {
 	panic(&RuntimeError{Pos: m.curPos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// pollInterval is the number of block executions between two polls of
+// Options.Ctx, a fraction of a millisecond of interpretation.
+const pollInterval = 1 << 14
+
+// step counts one block execution, once per block under both engines:
+// one compare against the next checkpoint.
+func (m *Machine) step() {
+	m.steps++
+	if m.steps > m.next {
+		m.checkpoint()
+	}
+}
+
+// checkpoint is step's slow path: it enforces MaxSteps, polls the
+// run's context, and sets the next checkpoint. Without a context, next
+// is maxT, so the budget check fails before the poll is reached.
+func (m *Machine) checkpoint() {
+	if m.steps > m.maxT {
+		m.budgetExhausted = true
+		m.fail("step budget exceeded (%d block executions)", m.maxT)
+	}
+	if err := m.ctx.Err(); err != nil {
+		m.fail("run cancelled: %v", err)
+	}
+	m.next = min(m.maxT, m.steps+pollInterval)
 }
 
 // checkedSlice returns the byte window [off, off+size) of the pointed-to
@@ -694,11 +730,7 @@ func (m *Machine) execute(fr *frame, g *cfg.Graph, fnIdx int) value {
 	counts := m.prof.BlockCounts[fnIdx]
 	factor := m.factor[fnIdx]
 	for {
-		m.steps++
-		if m.steps > m.maxT {
-			m.budgetExhausted = true
-			m.fail("step budget exceeded (%d block executions)", m.maxT)
-		}
+		m.step()
 		counts[blk.ID]++
 		m.cycles += float64(1+len(blk.Stmts)) * factor
 
@@ -780,11 +812,7 @@ func (m *Machine) executeSparse(fr *frame, g *cfg.Graph, fnIdx int) value {
 	// reallocate its backing array.
 	ti := len(m.trace) - 1
 	for {
-		m.steps++
-		if m.steps > m.maxT {
-			m.budgetExhausted = true
-			m.fail("step budget exceeded (%d block executions)", m.maxT)
-		}
+		m.step()
 		m.trace[ti].Block = blk.ID
 
 		for _, s := range blk.Stmts {

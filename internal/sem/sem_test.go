@@ -1,10 +1,12 @@
 package sem_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"staticest/internal/cast"
+	"staticest/internal/cfg"
 	"staticest/internal/cparse"
 	"staticest/internal/ctypes"
 	"staticest/internal/sem"
@@ -260,19 +262,35 @@ func TestUsualArithInExpr(t *testing.T) {
 	}
 }
 
-// TestObjectSizeLimit pins ctypes.MaxObjectSize across the frontend:
-// array declarators (bounded before multiplying, so no size wraps),
+// TestObjectSizeLimit pins the frontend's size bounds. ctypes.MaxObjectSize
+// bounds array declarators (before multiplying, so no size wraps),
 // struct layout, each function's frame, and total global storage.
-// Without the bound, the inner-dimension and field-offset cases compile
-// but exceed the bytecode lowering's 32-bit operands.
+// Without it, the inner-dimension and field-offset cases compile but
+// exceed the bytecode lowering's 32-bit operands. cfg.MaxNodes bounds
+// the blocks of a function and the functions of a unit, the sizes of
+// the estimators' dense Markov systems.
 func TestObjectSizeLimit(t *testing.T) {
 	compile := func(src string) error {
 		file, err := cparse.ParseFile("t.c", []byte(src))
 		if err != nil {
 			return err
 		}
-		_, err = sem.Analyze(file)
+		sp, err := sem.Analyze(file)
+		if err != nil {
+			return err
+		}
+		_, err = cfg.Build(sp)
 		return err
+	}
+	ifs := func(n int) string {
+		return "int a; int main(void) {" + strings.Repeat(" if(a)a=1;", n) + " return 0; }"
+	}
+	funcs := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "void f%d(void) {} ", i)
+		}
+		return b.String()
 	}
 	const main = " int main(void) { return 0; }"
 	rejected := []struct{ name, src, want string }{
@@ -283,6 +301,8 @@ func TestObjectSizeLimit(t *testing.T) {
 		{"frame", "int main(void) { char a[629145600]; char b[629145600]; char c[629145600]; return 0; }", "stack frame"},
 		{"global storage", "char a[629145600]; char b[629145600];" + main, "global storage"},
 		{"array of incomplete struct", "struct s; struct s (*p)[1073741824][1073741824];" + main, "incomplete"},
+		{"2049 blocks", ifs(1024), "2049 basic blocks exceed the 2048-block limit"},
+		{"2049 functions", funcs(2048) + main, "2049 functions exceed the 2048-function limit"},
 	}
 	for _, tc := range rejected {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,5 +314,8 @@ func TestObjectSizeLimit(t *testing.T) {
 	}
 	if err := compile("char a[1073741824];" + main); err != nil {
 		t.Errorf("an object of exactly MaxObjectSize bytes: %v", err)
+	}
+	if err := compile(ifs(1023)); err != nil {
+		t.Errorf("a function of 2047 blocks: %v", err)
 	}
 }

@@ -275,7 +275,6 @@ type StatusResponse struct {
 }
 
 func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
-	s.sampleRuntime()
 	hits, misses := s.hits.Value(), s.misses.Value()
 	ratio := 0.0
 	if hits+misses > 0 {
@@ -314,8 +313,7 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 	for _, ep := range s.endpoints {
 		resp.Endpoints[ep] = s.obs.SpanHistogram("server." + ep).Summarize()
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	ms := s.sampleRuntime()
 	resp.Runtime = RuntimeStatus{
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: ms.HeapAlloc,
@@ -335,11 +333,12 @@ func writeDebugJSON(w http.ResponseWriter, v any) {
 
 // --- runtime sampler --------------------------------------------------------
 
-// sampleRuntime refreshes the runtime_* gauges from the Go runtime.
+// sampleRuntime refreshes the runtime_* gauges from the Go runtime and
+// returns the one runtime.MemStats it read (the read stops the world).
 // /metrics and /v1/debug/status call it per scrape, and Serve once
 // after the drain, so an exit-time exposition or trace Flush carries
 // fresh values.
-func (s *Server) sampleRuntime() {
+func (s *Server) sampleRuntime() *runtime.MemStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	s.obs.Gauge("runtime_goroutines").Set(float64(runtime.NumGoroutine()))
@@ -347,4 +346,5 @@ func (s *Server) sampleRuntime() {
 	s.obs.Gauge("runtime_heap_sys_bytes").Set(float64(ms.HeapSys))
 	s.obs.Gauge("runtime_gc_runs_total").Set(float64(ms.NumGC))
 	s.obs.Gauge("runtime_gc_pause_seconds_total").Set(float64(ms.PauseTotalNs) / 1e9)
+	return &ms
 }

@@ -9,14 +9,16 @@
 // exactly one compile.
 //
 // Robustness is part of the contract: every API request runs under a
-// panic-to-500 recovery layer, a wall-clock timeout, a request-body
-// size cap, and a bounded worker semaphore sized from the same
-// parallelism knob as the evaluation harness (eval.Parallelism). A
-// source declaring any object over ctypes.MaxObjectSize (1 GiB) is a
+// panic-to-500 recovery layer, one deadline (on the request context,
+// which the interpreter polls, and on the connection's reads), a
+// request-body size cap, and a bounded worker semaphore sized from the
+// same parallelism knob as the evaluation harness (eval.Parallelism).
+// A source declaring any object over ctypes.MaxObjectSize (1 GiB), or
+// a function or unit over cfg.MaxNodes blocks or functions, is a
 // compile error, 422 on every endpoint: an allocation the Go runtime
 // cannot satisfy ends the process, which no recovery layer can catch.
 // The server always carries an observability domain: per-endpoint RED
-// instrumentation (request/response counters by status class),
+// instrumentation (response counters by status class),
 // server_cache_hit / server_cache_miss / server_inflight series, and a
 // root span per request carrying a request ID (accepted from
 // traceparent or X-Request-ID, echoed back, and propagated via the
@@ -58,8 +60,9 @@ type Config struct {
 	// MaxBodyBytes caps request bodies (default 4 MiB — the largest
 	// suite source is well under 1 MiB).
 	MaxBodyBytes int64
-	// RequestTimeout is the per-request wall-clock budget; requests
-	// exceeding it get 503 (default 60s).
+	// RequestTimeout is the per-request wall-clock budget, the deadline
+	// of the request context and of the connection's reads; a handler
+	// that returns after it gets 503 (default 60s).
 	RequestTimeout time.Duration
 	// MaxConcurrent bounds API requests doing pipeline work at once;
 	// excess requests queue on the semaphore for at most QueueWait
@@ -244,13 +247,18 @@ type apiHandler func(r *http.Request) (any, error)
 type rawJSON []byte
 
 // api wraps an endpoint handler in the middleware stack, innermost
-// first: JSON encoding and error mapping, panic-to-500 recovery with
-// the inflight gauge and per-endpoint RED instrumentation around it
-// (request counters, response counters by status class, and the
-// latency histogram the request's span feeds), the worker semaphore,
-// and the outermost wall-clock timeout (http.TimeoutHandler replies 503
-// and discards the late handler's writes; pipeline work is bounded
-// separately by Config.MaxSteps).
+// first: JSON encoding and error mapping, panic-to-500 recovery, the
+// worker semaphore, and the inflight gauge and per-endpoint RED
+// instrumentation (response counters by status class, and the latency
+// histogram the request's span feeds), which record the reply sent.
+//
+// A request has one deadline, RequestTimeout after it arrives: on its
+// context, which the queue wait, the batch loop and the interpreter
+// watch, and on its connection's reads, so a stalled body fails. The
+// worker slot is freed before the reply is written, so a slow reader
+// holds none. A handler that returns past the deadline gets 503
+// {"error":"request timed out"}, whatever it returned, and the
+// connection closes after the reply.
 //
 // Every request runs under a root span named "server.<endpoint>"
 // carrying the request ID (accepted from traceparent / X-Request-ID or
@@ -262,7 +270,6 @@ type rawJSON []byte
 // for GET /v1/debug/slow.
 func (s *Server) api(name string, h apiHandler) http.Handler {
 	s.endpoints = append(s.endpoints, name)
-	requests := s.obs.Counter(obs.Labels("server_requests_total", "endpoint", name))
 	errorsC := s.obs.Counter(obs.Labels("server_errors_total", "endpoint", name))
 	panics := s.obs.Counter("server_panics_total")
 	s.obs.SpanHistogram("server." + name) // exposed from the first scrape
@@ -272,13 +279,21 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			"endpoint", name, "class", fmt.Sprintf("%dxx", c)))
 	}
 
-	inner := func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadline := time.Now().Add(s.cfg.RequestTimeout)
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
+		defer cancel()
+		// On w, not statusWriter, which does not unwrap to the
+		// connection. A writer without one (a test recorder) returns
+		// ErrNotSupported and keeps only the context deadline.
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(deadline)
+
 		reqID := requestID(r)
 		w.Header().Set("X-Request-ID", reqID)
 		sw := &statusWriter{ResponseWriter: w}
 		w = sw
 
-		requests.Add(1)
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		sp := s.obs.StartSpan("server."+name, obs.KV("req_id", reqID))
@@ -296,46 +311,53 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 				capture:  capture,
 			})
 		}()
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), sp))
+		r = r.WithContext(obs.ContextWithSpan(ctx, sp))
 
 		// Bound concurrent pipeline work. A request never queues
 		// indefinitely: when the semaphore is saturated it waits at most
 		// QueueWait, then is shed with 429 + Retry-After so clients back
 		// off instead of piling up. The un-contended path stays a single
 		// non-blocking send (no timer allocation).
+		var v any
+		var err error
 		select {
 		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
 		default:
 			t := time.NewTimer(s.cfg.QueueWait)
 			select {
 			case s.sem <- struct{}{}:
-				t.Stop()
-				defer func() { <-s.sem }()
-			case <-r.Context().Done():
-				t.Stop()
-				errorsC.Add(1)
-				writeJSONError(w, http.StatusServiceUnavailable, "cancelled while queued")
-				return
+			case <-ctx.Done():
+				err = ctx.Err() // answered as a timeout below
 			case <-t.C:
-				errorsC.Add(1)
 				s.shed.Add(1)
 				w.Header().Set("Retry-After", "1")
-				writeJSONError(w, http.StatusTooManyRequests, "server saturated: all workers busy; retry later")
-				return
+				err = &httpError{status: http.StatusTooManyRequests, msg: "server saturated: all workers busy; retry later"}
 			}
+			t.Stop()
 		}
-
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		v, err := func() (v any, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					panics.Add(1)
-					err = fmt.Errorf("internal error: %v\n%s", p, debug.Stack())
-				}
+		if err == nil {
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+			v, err = func() (v any, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						panics.Add(1)
+						err = fmt.Errorf("internal error: %v\n%s", p, debug.Stack())
+					}
+				}()
+				return h(r)
 			}()
-			return h(r)
-		}()
+			<-s.sem
+		}
+		// Clear the read deadline, then judge by the clock as well as
+		// ctx: a background read that timed out at the deadline cancels
+		// the connection's context for its next request, perhaps only
+		// after this check, so any reply at or past it closes the
+		// connection.
+		_ = rc.SetReadDeadline(time.Time{})
+		if ctx.Err() != nil || !time.Now().Before(deadline) {
+			v, err = nil, &httpError{status: http.StatusServiceUnavailable, msg: "request timed out"}
+			w.Header().Set("Connection", "close")
+		}
 		if err != nil {
 			errorsC.Add(1)
 			status := http.StatusInternalServerError
@@ -362,9 +384,7 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 		if err := enc.Encode(v); err != nil {
 			errorsC.Add(1)
 		}
-	}
-	return http.TimeoutHandler(http.HandlerFunc(inner), s.cfg.RequestTimeout,
-		`{"error":"request timed out"}`)
+	})
 }
 
 func writeJSONError(w http.ResponseWriter, status int, msg string) {

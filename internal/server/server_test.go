@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -254,7 +255,6 @@ func TestMetricsAndHealth(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	for _, series := range []string{
 		"server_cache_miss 1",
-		`server_requests_total{endpoint="estimate"} 1`,
 		`span_seconds_count{span="server.estimate"} 1`,
 		"server_inflight 0",
 	} {
@@ -281,17 +281,12 @@ func TestMetricsAndHealth(t *testing.T) {
 }
 
 // TestRequestTimeout pins the 503 path: a run that cannot finish inside
-// the request budget is cut off with the timeout body while the server
-// keeps serving.
+// the request budget is cut off with the timeout body at the deadline,
+// the run stops there and frees the only worker slot, so the next
+// request is served on its first try, and the metrics, the span and
+// /v1/debug/slow record the 503 the client got.
 func TestRequestTimeout(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{
-		RequestTimeout: 50 * time.Millisecond,
-		MaxConcurrent:  4,
-		// More interpreter work than the request budget allows, but
-		// bounded: the abandoned handler finishes (and frees its
-		// semaphore slot) shortly after the client's 503.
-		MaxSteps: 20_000_000,
-	})
+	s, ts := newTestServer(t, server.Config{RequestTimeout: 50 * time.Millisecond, MaxConcurrent: 1})
 	spin := `
 int main(void) {
 	int i;
@@ -311,18 +306,62 @@ int main(void) {
 	if !bytes.Contains(b, []byte("timed out")) {
 		t.Fatalf("timeout body %q", b)
 	}
-	// The server keeps serving: once the abandoned run exhausts its
-	// step budget, fresh requests go through again.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`)
-		if status == http.StatusOK {
-			break
+
+	o := s.Observer()
+	for class, want := range map[string]int64{"4xx": 0, "5xx": 1} {
+		name := obs.Labels("server_responses_total", "endpoint", "profile", "class", class)
+		if n := o.Counter(name).Value(); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("post-timeout estimate never recovered: %d %s", status, b)
-		}
-		time.Sleep(50 * time.Millisecond)
+	}
+	if n := o.SpanHistogram("server.profile").Summarize().Count; n != 1 {
+		t.Errorf("server.profile span count %d, want 1", n)
+	}
+	resp, err := http.Get(ts.URL + "/v1/debug/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slow server.SlowResponse
+	err = json.NewDecoder(resp.Body).Decode(&slow)
+	resp.Body.Close()
+	if err != nil || len(slow.Requests) != 1 {
+		t.Fatalf("debug/slow: %+v, decode error %v; want the one profile request", slow, err)
+	}
+	if r := slow.Requests[0]; r.Endpoint != "profile" || r.Status != http.StatusServiceUnavailable {
+		t.Errorf("debug/slow entry %+v, want profile with status 503", r)
+	}
+
+	// The timed-out run has stopped and released the only slot.
+	if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
+		t.Fatalf("estimate after the timeout: status %d, body %s; want 200", status, b)
+	}
+}
+
+// TestStalledBodyTimesOut pins the read deadline: a client that sends
+// the headers and part of a body and then stops gets 503 at the
+// request deadline, its read fails instead of blocking, and the only
+// worker slot is free for the next request.
+func TestStalledBodyTimesOut(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{RequestTimeout: 100 * time.Millisecond, MaxConcurrent: 1})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) // fail, not hang, if no reply comes
+	fmt.Fprintf(conn, "POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"source\":")
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("stalled request got no reply: %v", err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !bytes.Contains(b, []byte("timed out")) {
+		t.Fatalf("stalled request: status %d, body %s; want 503 timed out", resp.StatusCode, b)
+	}
+	if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
+		t.Fatalf("estimate after the stalled request: status %d, body %s; want 200", status, b)
 	}
 }
 
@@ -334,39 +373,55 @@ func jsonString(s string) string {
 	return string(b)
 }
 
-// TestOversizeObjectRejected pins the object-size bound at the API. A
-// source declaring a 1 TiB global is a compile error naming the limit
-// on every endpoint, never an allocation: running it would end the
-// whole process with an out-of-memory fault that no handler can
-// recover. The server keeps answering afterwards.
+// TestOversizeObjectRejected pins the compile-time size bounds at the
+// API: a source declaring a 1 TiB global, a function of 2,049 blocks
+// and a unit of 2,049 functions are each a compile error naming its
+// limit on every endpoint, never an allocation. Running the first, or
+// solving the dense Markov systems of the other two as they grow,
+// would end the whole process with an out-of-memory fault that no
+// handler can recover. The server keeps answering afterwards.
 func TestOversizeObjectRejected(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
-	huge := `{"source":` + jsonString(`char a[1099511627776]; int main(void){ return 0; }`) + `}`
-	const limit = "1073741824-byte object limit"
+	const main = "int main(void) { return 0; }"
+	for _, tc := range []struct{ name, src, limit string }{
+		{"1 TiB global", "char a[1099511627776]; " + main, "1073741824-byte object limit"},
+		{"2049 blocks", "int a; int main(void) {\n" + strings.Repeat("if(a)a=1;\n", 1024) + "return 0; }",
+			"2049 basic blocks exceed the 2048-block limit"},
+		{"2049 functions", funcs(2048) + main,
+			"2049 functions exceed the 2048-function limit"},
+	} {
+		huge := `{"source":` + jsonString(tc.src) + `}`
+		for _, ep := range []string{"/v1/profile", "/v1/estimate"} {
+			status, body := post(t, ts.URL+ep, huge)
+			if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), tc.limit) {
+				t.Errorf("%s %s: status %d, body %s; want 422 naming the limit", tc.name, ep, status, body)
+			}
+		}
 
-	status, body := post(t, ts.URL+"/v1/profile", huge)
-	if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), limit) {
-		t.Errorf("profile: status %d, body %s; want 422 naming the limit", status, body)
+		status, body := post(t, ts.URL+"/v1/batch", `{"items":[`+huge+`]}`)
+		var batch struct {
+			Items []struct {
+				Status int    `json:"status"`
+				Error  string `json:"error"`
+			} `json:"items"`
+		}
+		if err := json.Unmarshal(body, &batch); err != nil || status != http.StatusOK || len(batch.Items) != 1 {
+			t.Fatalf("%s batch: status %d, body %s, decode error %v", tc.name, status, body, err)
+		}
+		if it := batch.Items[0]; it.Status != http.StatusUnprocessableEntity || !strings.Contains(it.Error, tc.limit) {
+			t.Errorf("%s batch item: status %d, error %q; want 422 naming the limit", tc.name, it.Status, it.Error)
+		}
+		if status, body := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
+			t.Fatalf("estimate after the rejected %s: status %d, body %s", tc.name, status, body)
+		}
 	}
-	if status, body := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
-		t.Fatalf("estimate after the rejected profile: status %d, body %s", status, body)
-	}
-	status, body = post(t, ts.URL+"/v1/estimate", huge)
-	if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), limit) {
-		t.Errorf("estimate: status %d, body %s; want 422 naming the limit", status, body)
-	}
+}
 
-	status, body = post(t, ts.URL+"/v1/batch", `{"items":[`+huge+`]}`)
-	var batch struct {
-		Items []struct {
-			Status int    `json:"status"`
-			Error  string `json:"error"`
-		} `json:"items"`
+// funcs returns n empty function definitions, f0 to f<n-1>.
+func funcs(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "void f%d(void){}\n", i)
 	}
-	if err := json.Unmarshal(body, &batch); err != nil || status != http.StatusOK || len(batch.Items) != 1 {
-		t.Fatalf("batch: status %d, body %s, decode error %v", status, body, err)
-	}
-	if it := batch.Items[0]; it.Status != http.StatusUnprocessableEntity || !strings.Contains(it.Error, limit) {
-		t.Errorf("batch item: status %d, error %q; want 422 naming the limit", it.Status, it.Error)
-	}
+	return b.String()
 }

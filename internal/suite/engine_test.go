@@ -1,7 +1,9 @@
 package suite_test
 
 import (
+	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,8 +73,10 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineStepCap checks that the step budget trips identically on
-// both engines: same error, same accounting.
+// TestEngineStepCap checks that the step checkpoint stops a run
+// identically on both engines: an exhausted step budget, and a
+// cancelled context polled after 2^14 block executions, each fail the
+// run with the same error text under both, full and sparse.
 func TestEngineStepCap(t *testing.T) {
 	p := suite.Compress()
 	u, err := p.CompileCached()
@@ -80,14 +84,32 @@ func TestEngineStepCap(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	in := p.Inputs[0]
-	opts := staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, MaxSteps: 1000}
-	_, treeErr := interp.RunReference(u.CFG, opts)
-	_, bcErr := u.Run(opts)
-	if treeErr == nil || bcErr == nil {
-		t.Fatalf("step cap 1000 did not trip: tree %v, bytecode %v", treeErr, bcErr)
-	}
-	if treeErr.Error() != bcErr.Error() {
-		t.Errorf("step-cap errors differ: tree %q, bytecode %q", treeErr, bcErr)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		opts staticest.RunOptions
+		want string
+	}{
+		{"budget", staticest.RunOptions{MaxSteps: 1000}, "step budget exceeded (1000 block executions)"},
+		{"cancelled", staticest.RunOptions{Ctx: cancelled}, "run cancelled: context canceled"},
+		{"cancelled/sparse", staticest.RunOptions{Ctx: cancelled,
+			Instrumentation: staticest.SparseInstrumentation, Plan: u.PlanProbes()},
+			"run cancelled: context canceled"},
+	} {
+		opts := tc.opts
+		opts.Args, opts.Stdin = in.Args, in.Stdin
+		_, treeErr := interp.RunReference(u.CFG, opts)
+		_, bcErr := u.Run(opts)
+		if treeErr == nil || bcErr == nil {
+			t.Fatalf("%s: run did not stop: tree %v, bytecode %v", tc.name, treeErr, bcErr)
+		}
+		if treeErr.Error() != bcErr.Error() {
+			t.Errorf("%s: errors differ: tree %q, bytecode %q", tc.name, treeErr, bcErr)
+		}
+		if !strings.Contains(bcErr.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, bcErr, tc.want)
+		}
 	}
 }
 
