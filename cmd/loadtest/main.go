@@ -359,7 +359,7 @@ func (d *driver) estimate(duration time.Duration, hitFrac float64, hot, batchN i
 }
 
 // printServerStatus fetches /v1/debug/status and prints the server-side
-// view of the run: cache shape, hit ratio, batch items.
+// view of the run: cached units, hit ratio, batch items.
 func (d *driver) printServerStatus() error {
 	body, err := d.get("/v1/debug/status")
 	if err != nil {
@@ -368,7 +368,6 @@ func (d *driver) printServerStatus() error {
 	var st struct {
 		Cache struct {
 			Units    int     `json:"units"`
-			Shards   int     `json:"shards"`
 			Hits     int64   `json:"hits"`
 			Misses   int64   `json:"misses"`
 			HitRatio float64 `json:"hit_ratio"`
@@ -381,8 +380,8 @@ func (d *driver) printServerStatus() error {
 	if err := json.Unmarshal(body, &st); err != nil {
 		return err
 	}
-	fmt.Printf("loadtest: server cache units=%d shards=%d hits=%d misses=%d hit_ratio=%.3f; batch items=%d item_errors=%d\n",
-		st.Cache.Units, st.Cache.Shards, st.Cache.Hits, st.Cache.Misses, st.Cache.HitRatio,
+	fmt.Printf("loadtest: server cache units=%d hits=%d misses=%d hit_ratio=%.3f; batch items=%d item_errors=%d\n",
+		st.Cache.Units, st.Cache.Hits, st.Cache.Misses, st.Cache.HitRatio,
 		st.Batch.Items, st.Batch.ItemErrors)
 	return nil
 }

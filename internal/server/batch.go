@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -167,10 +166,5 @@ func (s *Server) estimateItem(ctx context.Context, item *EstimateRequest) batchR
 // batchErr maps an item error to the per-item status exactly as the api
 // middleware maps the same error for a single call.
 func batchErr(err error) batchResult {
-	status := http.StatusInternalServerError
-	var he *httpError
-	if errors.As(err, &he) {
-		status = he.status
-	}
-	return batchResult{status: status, errMsg: err.Error()}
+	return batchResult{status: statusOf(err), errMsg: err.Error()}
 }

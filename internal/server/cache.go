@@ -5,7 +5,6 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
-	"runtime"
 	"sync"
 
 	"staticest"
@@ -119,32 +118,24 @@ func encodeBody(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// unitCache is a bounded LRU of compiled units keyed by source
-// fingerprint, striped over N independently-locked shards so concurrent
-// cache hits on different units never serialize on one mutex. The
-// fingerprint is hex SHA-256, so its leading nibbles are uniformly
-// distributed and the shard index is just the fingerprint prefix
-// reduced mod the (power-of-two) shard count.
+// unitCache is the server's one table of compiled units, keyed by
+// source fingerprint. Units live in a bounded LRU, except pinned ones:
+// a unit with a live aggregate moves out of the LRU and is never
+// evicted, so an ingested fingerprint stays one resident copy that
+// /v1/profiles/stats and freq_source "live" can always resolve. The
+// bound counts only the LRU's units.
 //
-// Each shard keeps the original cache's semantics for the keys it owns:
-// LRU eviction against a per-shard bound, and singleflight
-// deduplication — when N requests for the same uncached source arrive
-// concurrently, exactly one compiles and the other N-1 block on its
-// result. Identical fingerprints always land on the same shard, so
-// striping cannot split a flight. Compile errors are returned to every
-// waiter but never cached — a retry recompiles.
+// One mutex guards the table. A miss is deduplicated by singleflight:
+// when N requests for the same uncached source arrive concurrently,
+// exactly one compiles and the other N-1 block on its result. Compile
+// errors are returned to every waiter but never cached — a retry
+// recompiles.
 type unitCache struct {
-	shards []*cacheShard
-	mask   uint32
-}
-
-// cacheShard is one stripe: a bounded LRU plus the in-flight compiles
-// for the fingerprints it owns.
-type cacheShard struct {
 	mu      sync.Mutex
-	max     int
-	lru     list.List // front = most recently used; values are *compiled
+	limit   int
+	lru     list.List // unpinned units, front = most recently used; values are *compiled
 	byKey   map[string]*list.Element
+	pinned  map[string]*compiled
 	flights map[string]*flight
 }
 
@@ -155,70 +146,14 @@ type flight struct {
 	err  error
 }
 
-// newUnitCache builds a cache bounded to max units striped over the
-// requested shard count. shards <= 0 picks the next power of two >=
-// GOMAXPROCS; any other value is rounded up to a power of two (the
-// shard index is a mask). The per-shard bound is ceil(max/shards) with
-// a floor of one unit, so the total bound is max rounded up to a
-// multiple of the shard count.
-func newUnitCache(max, shards int) *unitCache {
-	if max < 1 {
-		max = 1
+// newUnitCache builds a cache holding at most limit unpinned units.
+func newUnitCache(limit int) *unitCache {
+	return &unitCache{
+		limit:   limit,
+		byKey:   make(map[string]*list.Element),
+		pinned:  make(map[string]*compiled),
+		flights: make(map[string]*flight),
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	n := nextPow2(shards)
-	perShard := (max + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	uc := &unitCache{shards: make([]*cacheShard, n), mask: uint32(n - 1)}
-	for i := range uc.shards {
-		uc.shards[i] = &cacheShard{
-			max:     perShard,
-			byKey:   make(map[string]*list.Element),
-			flights: make(map[string]*flight),
-		}
-	}
-	return uc
-}
-
-// nextPow2 returns the smallest power of two >= n.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// numShards returns the stripe count.
-func (uc *unitCache) numShards() int { return len(uc.shards) }
-
-// shardFor maps a fingerprint to its stripe by prefix: the first eight
-// hex characters fold into 32 bits, masked down to the shard index.
-// Equal keys always map to the same shard, which is what preserves
-// singleflight under striping. Non-hex bytes (ad-hoc test keys) still
-// spread via their low nibble.
-func (uc *unitCache) shardFor(key string) *cacheShard {
-	var v uint32
-	for i := 0; i < len(key) && i < 8; i++ {
-		v = v<<4 | uint32(hexNibble(key[i]))
-	}
-	return uc.shards[v&uc.mask]
-}
-
-func hexNibble(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10
-	}
-	return c & 0xf
 }
 
 // get returns the cached compilation for key, compiling with compile on
@@ -226,22 +161,19 @@ func hexNibble(c byte) byte {
 // (the cache-miss leader); waiters deduplicated onto another caller's
 // in-flight compile report a hit, because no additional work happened.
 func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*compiled, bool, error) {
-	sh := uc.shardFor(key)
-	sh.mu.Lock()
-	if el, ok := sh.byKey[key]; ok {
-		sh.lru.MoveToFront(el)
-		c := el.Value.(*compiled)
-		sh.mu.Unlock()
+	uc.mu.Lock()
+	if c, ok := uc.findLocked(key); ok {
+		uc.mu.Unlock()
 		return c, false, nil
 	}
-	if f, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
+	if f, ok := uc.flights[key]; ok {
+		uc.mu.Unlock()
 		<-f.done
 		return f.c, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	sh.flights[key] = f
-	sh.mu.Unlock()
+	uc.flights[key] = f
+	uc.mu.Unlock()
 
 	unit, err := compile()
 	if err == nil {
@@ -249,49 +181,61 @@ func (uc *unitCache) get(key string, compile func() (*staticest.Unit, error)) (*
 	}
 	f.err = err
 
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	if err == nil {
-		sh.insertLocked(key, f.c)
+	uc.mu.Lock()
+	delete(uc.flights, key)
+	_, pinned := uc.pinned[key] // an earlier copy was pinned meanwhile: keep that one
+	if err == nil && !pinned {
+		uc.byKey[key] = uc.lru.PushFront(f.c)
+		for uc.lru.Len() > uc.limit {
+			el := uc.lru.Back()
+			uc.lru.Remove(el)
+			delete(uc.byKey, el.Value.(*compiled).fingerprint)
+		}
 	}
-	sh.mu.Unlock()
+	uc.mu.Unlock()
 	close(f.done)
 	return f.c, true, err
 }
 
-// insertLocked adds a fresh entry and evicts from the cold end past the
-// shard's bound.
-func (sh *cacheShard) insertLocked(key string, c *compiled) {
-	sh.byKey[key] = sh.lru.PushFront(c)
-	for sh.lru.Len() > sh.max {
-		el := sh.lru.Back()
-		sh.lru.Remove(el)
-		delete(sh.byKey, el.Value.(*compiled).fingerprint)
+// findLocked returns the resident unit for key, marking an unpinned one
+// most recently used.
+func (uc *unitCache) findLocked(key string) (*compiled, bool) {
+	if el, ok := uc.byKey[key]; ok {
+		uc.lru.MoveToFront(el)
+		return el.Value.(*compiled), true
 	}
+	c, ok := uc.pinned[key]
+	return c, ok
 }
 
 // lookup returns the cached compilation for key without compiling (and
 // without disturbing an in-flight compile). Fingerprint-only requests
-// (profile ingest) use it: they can only refer to sources the server
-// has already seen.
+// (profile ingest, stats) use it: they can only refer to sources the
+// server has already seen.
 func (uc *unitCache) lookup(key string) (*compiled, bool) {
-	sh := uc.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.byKey[key]; ok {
-		sh.lru.MoveToFront(el)
-		return el.Value.(*compiled), true
-	}
-	return nil, false
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	return uc.findLocked(key)
 }
 
-// len returns the number of cached units across all shards.
-func (uc *unitCache) len() int {
-	n := 0
-	for _, sh := range uc.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
+// pin moves c out of the LRU for good. A unit the LRU evicted before
+// the pin is pinned all the same; a pinned key is never compiled again.
+func (uc *unitCache) pin(c *compiled) {
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	if _, ok := uc.pinned[c.fingerprint]; ok {
+		return
 	}
-	return n
+	if el, ok := uc.byKey[c.fingerprint]; ok {
+		uc.lru.Remove(el)
+		delete(uc.byKey, c.fingerprint)
+	}
+	uc.pinned[c.fingerprint] = c
+}
+
+// len returns the number of resident units, pinned ones included.
+func (uc *unitCache) len() int {
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	return uc.lru.Len() + len(uc.pinned)
 }

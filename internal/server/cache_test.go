@@ -1,18 +1,18 @@
 package server
 
-// White-box concurrency suite for the sharded unit cache. Everything
-// here is meant to run under -race: the tests drive the cache the way a
-// saturated server does — many goroutines, mixed hit/miss/evict
+// White-box concurrency suite for the unit cache. Everything here is
+// meant to run under -race: the tests drive the cache the way a
+// saturated server does — many goroutines, mixed hit/miss/evict/pin
 // traffic, identical keys racing into one flight — and then assert the
-// invariants that striping must preserve: per-shard LRU bounds,
-// exactly-once compilation per key, and byte-identical memoized bodies.
+// invariants: the LRU bound, pinned units never evicted, exactly-once
+// compilation per key, and byte-identical memoized bodies.
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,11 +23,9 @@ import (
 	"staticest/internal/obs"
 )
 
-// fakeKey fabricates a fingerprint-shaped hex key whose leading
-// characters vary (shardFor routes on the prefix), so consecutive ids
-// spread across shards the way real SHA-256 fingerprints do.
+// fakeKey fabricates a fingerprint-shaped hex key.
 func fakeKey(id int) string {
-	return fmt.Sprintf("%08x%056x", uint32(id)*2654435761, id)
+	return fmt.Sprintf("%064x", id)
 }
 
 // compileStub returns a distinct dummy unit per call; cache tests never
@@ -39,30 +37,12 @@ func compileStub(calls *atomic.Int64) func() (*staticest.Unit, error) {
 	}
 }
 
-// TestCacheShardDefaults pins the shard-count policy: explicit counts
-// round up to a power of two, and the default follows GOMAXPROCS.
-func TestCacheShardDefaults(t *testing.T) {
-	for _, tc := range []struct{ shards, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
-	} {
-		if got := newUnitCache(64, tc.shards).numShards(); got != tc.want {
-			t.Errorf("newUnitCache(64, %d): %d shards, want %d", tc.shards, got, tc.want)
-		}
-	}
-	want := nextPow2(runtime.GOMAXPROCS(0))
-	if got := newUnitCache(64, 0).numShards(); got != want {
-		t.Errorf("default shards = %d, want nextPow2(GOMAXPROCS) = %d", got, want)
-	}
-}
-
 // TestCacheEviction pins the LRU bound through the server: with a
-// one-unit, one-shard cache, a second source evicts the first, so
-// re-requesting the first recompiles. (One shard makes the two sources
-// contend for the same slot regardless of GOMAXPROCS; the per-shard
-// bound under striping is TestCacheShardEviction.)
+// one-unit cache, a second source evicts the first, so re-requesting
+// the first recompiles.
 func TestCacheEviction(t *testing.T) {
 	s := New(Config{Obs: obs.New()})
-	s.cache = newUnitCache(1, 1)
+	s.cache = newUnitCache(1)
 	srcA := "int main(void) { return 0; }"
 	srcB := "int main(void) { return 1; }"
 	for _, src := range []string{srcA, srcB, srcA} {
@@ -78,36 +58,11 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheShardAffinity pins the property singleflight depends on:
-// the same key always maps to the same shard.
-func TestCacheShardAffinity(t *testing.T) {
-	uc := newUnitCache(64, 8)
-	for i := 0; i < 256; i++ {
-		key := fakeKey(i)
-		first := uc.shardFor(key)
-		for j := 0; j < 4; j++ {
-			if uc.shardFor(key) != first {
-				t.Fatalf("key %q mapped to different shards across calls", key)
-			}
-		}
-	}
-	// And real-shaped keys actually spread: 256 distinct keys over 8
-	// shards should never collapse onto one stripe.
-	seen := map[*cacheShard]bool{}
-	for i := 0; i < 256; i++ {
-		seen[uc.shardFor(fakeKey(i))] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("256 keys landed on %d shard(s); striping is not spreading", len(seen))
-	}
-}
-
-// TestCacheSingleflightSharded is the exactly-once contract under
-// striping: 32 goroutines requesting the same uncached key race into
-// one flight — one compile, one miss leader, and every caller gets the
-// same *compiled.
-func TestCacheSingleflightSharded(t *testing.T) {
-	uc := newUnitCache(64, 8)
+// TestCacheSingleflight is the exactly-once contract: 32 goroutines
+// requesting the same uncached key race into one flight — one compile,
+// one miss leader, and every caller gets the same *compiled.
+func TestCacheSingleflight(t *testing.T) {
+	uc := newUnitCache(64)
 	key := fakeKey(42)
 
 	const n = 32
@@ -151,7 +106,7 @@ func TestCacheSingleflightSharded(t *testing.T) {
 // to every waiter of its flight but never inserted: the next get for
 // the same key recompiles.
 func TestCacheCompileErrorNotCached(t *testing.T) {
-	uc := newUnitCache(64, 4)
+	uc := newUnitCache(64)
 	key := fakeKey(7)
 	boom := errors.New("boom")
 
@@ -171,77 +126,94 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheShardEviction proves the per-shard LRU bound: a cache of 8
-// units over 4 shards holds at most 2 per shard, so flooding one shard
-// with fresh keys evicts that shard's cold entries while other shards
-// keep theirs.
-func TestCacheShardEviction(t *testing.T) {
-	uc := newUnitCache(8, 4)
-	perShard := uc.shards[0].max
-	if perShard != 2 {
-		t.Fatalf("per-shard bound = %d, want 2 (8 units / 4 shards)", perShard)
-	}
-
-	// Bucket fabricated keys by the shard they map to until one shard
-	// has twice its bound.
-	target := uc.shardFor(fakeKey(0))
-	var targetKeys, otherKeys []string
-	for i := 0; len(targetKeys) < 2*perShard || len(otherKeys) == 0; i++ {
-		key := fakeKey(i)
-		if uc.shardFor(key) == target {
-			targetKeys = append(targetKeys, key)
-		} else if len(otherKeys) == 0 {
-			otherKeys = append(otherKeys, key)
-		}
-	}
-
+// TestCacheLRUOrder pins whole-cache LRU order: past the bound the
+// least recently used unit goes, a hit makes a unit the most recent,
+// and a pinned unit sits outside the bound and is never evicted.
+func TestCacheLRUOrder(t *testing.T) {
+	uc := newUnitCache(3)
 	var calls atomic.Int64
-	for _, key := range append(otherKeys, targetKeys...) {
-		if _, _, err := uc.get(key, compileStub(&calls)); err != nil {
+	get := func(id int) *compiled {
+		t.Helper()
+		c, _, err := uc.get(fakeKey(id), compileStub(&calls))
+		if err != nil {
 			t.Fatal(err)
 		}
+		return c
+	}
+	resident := func(want ...int) {
+		t.Helper()
+		for id := 0; id < 8; id++ {
+			_, ok := uc.lookup(fakeKey(id))
+			if ok != slices.Contains(want, id) {
+				t.Errorf("key %d resident = %v, want %v (want resident %v)", id, ok, !ok, want)
+			}
+		}
 	}
 
-	target.mu.Lock()
-	got := target.lru.Len()
-	target.mu.Unlock()
-	if got > perShard {
-		t.Errorf("flooded shard holds %d units, want <= %d", got, perShard)
+	get(0)
+	get(1)
+	get(2)
+	get(0) // hit: 0 is now the most recent, 1 the least
+	get(3)
+	resident(0, 2, 3)
+
+	uc.pin(get(2)) // hit, then out of the LRU: 3 and 0 remain in it
+	get(4)
+	get(5) // evicts 0, the least recent; the pinned 2 is not counted
+	resident(2, 3, 4, 5)
+	if n := uc.len(); n != 4 {
+		t.Errorf("len = %d, want 4 (three LRU units and one pinned)", n)
 	}
-	// The other shard was untouched by the flood: its entry survives.
-	if _, ok := uc.lookup(otherKeys[0]); !ok {
-		t.Error("entry on a different shard was evicted by the flood")
+	if n := calls.Load(); n != 6 {
+		t.Errorf("compiled %d times, want 6 (each key once)", n)
 	}
-	// LRU within the shard: the newest keys are resident, the oldest
-	// were evicted.
-	for _, key := range targetKeys[len(targetKeys)-perShard:] {
-		if _, ok := uc.lookup(key); !ok {
-			t.Errorf("recently-inserted key %q missing from its shard", key)
-		}
+}
+
+// TestCachePinDuringFlight pins that a key pinned while a compile of it
+// is in flight keeps one resident copy, the pinned one: the flight's
+// unit goes to its callers but is not inserted.
+func TestCachePinDuringFlight(t *testing.T) {
+	uc := newUnitCache(4)
+	key := fakeKey(1)
+	pinned := &compiled{unit: &staticest.Unit{}, fingerprint: key}
+	compiling, release := make(chan struct{}), make(chan struct{})
+	flown := make(chan *compiled)
+	go func() {
+		c, _, _ := uc.get(key, func() (*staticest.Unit, error) {
+			close(compiling)
+			<-release
+			return &staticest.Unit{}, nil
+		})
+		flown <- c
+	}()
+	<-compiling
+	uc.pin(pinned)
+	close(release)
+	if c := <-flown; c == nil || c == pinned {
+		t.Errorf("flight returned %p, want its own unit", c)
 	}
-	for _, key := range targetKeys[:len(targetKeys)-perShard] {
-		if _, ok := uc.lookup(key); ok {
-			t.Errorf("cold key %q should have been evicted", key)
-		}
+	if c, ok := uc.lookup(key); !ok || c != pinned {
+		t.Errorf("lookup = %p, %v; want the pinned unit", c, ok)
+	}
+	if n := uc.len(); n != 1 {
+		t.Errorf("len = %d, want 1 (one resident copy)", n)
 	}
 }
 
 // TestCacheConcurrentMixed is the 64-goroutine soak: mixed hit / miss /
-// evict traffic across every shard of a deliberately small cache, so
-// insertions, evictions, LRU bumps, and flights all interleave. Run
-// under -race this is the data-race proof for the striped cache; the
-// assertions pin the invariants that must survive the chaos — the
-// total bound holds, hot keys compile exactly once each, and every get
-// observes a usable result.
+// evict / pin traffic on a deliberately small cache, so insertions,
+// evictions, LRU bumps, pins and flights all interleave. Run under
+// -race this is the data-race proof for the cache; the assertions pin
+// the invariants that must survive the chaos — the LRU bound holds,
+// every pinned unit stays resident, and every get observes a usable
+// result.
 func TestCacheConcurrentMixed(t *testing.T) {
-	uc := newUnitCache(16, 4)
-	bound := 0
-	for _, sh := range uc.shards {
-		bound += sh.max
-	}
+	const limit = 16
+	uc := newUnitCache(limit)
 
 	// 8 hot keys are requested by every goroutine (hits + flights);
-	// cold keys are unique per iteration (misses + evictions).
+	// cold keys are unique per iteration (misses + evictions), and each
+	// goroutine pins its first cold unit.
 	hot := make([]string, 8)
 	hotCalls := make([]atomic.Int64, len(hot))
 	for i := range hot {
@@ -272,10 +244,13 @@ func TestCacheConcurrentMixed(t *testing.T) {
 					}
 				case 2: // cold traffic: unique keys force evictions
 					var calls atomic.Int64
-					key := fakeKey(g*10_000 + i)
-					if _, _, err := uc.get(key, compileStub(&calls)); err != nil {
+					c, _, err := uc.get(fakeKey(g*10_000+i), compileStub(&calls))
+					if err != nil {
 						t.Errorf("cold get: %v", err)
 						return
+					}
+					if i == 2 {
+						uc.pin(c)
 					}
 				case 3: // reads race the writes
 					uc.lookup(hot[(g+i)%len(hot)])
@@ -287,14 +262,22 @@ func TestCacheConcurrentMixed(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if n := uc.len(); n > bound {
-		t.Errorf("cache holds %d units, want <= %d", n, bound)
+	uc.mu.Lock()
+	lruLen, pinned := uc.lru.Len(), len(uc.pinned)
+	uc.mu.Unlock()
+	if lruLen > limit {
+		t.Errorf("LRU holds %d units, want <= %d", lruLen, limit)
 	}
-	// Hot keys may be evicted by cold floods on their shard and then
-	// recompiled — but a hot key that was never evicted must have
-	// compiled exactly once. The aggregate check: every hot key
-	// compiled at least once and (with 16 slots for 8 hot keys plus
-	// transient cold traffic) none thrashed unboundedly.
+	if pinned != goroutines {
+		t.Errorf("%d pinned units, want %d (one per goroutine)", pinned, goroutines)
+	}
+	for g := 0; g < goroutines; g++ {
+		if _, ok := uc.lookup(fakeKey(g*10_000 + 2)); !ok {
+			t.Errorf("pinned unit of goroutine %d was evicted", g)
+		}
+	}
+	// Hot keys may be evicted by cold floods and then recompiled, but
+	// every hot key compiled at least once.
 	for i := range hot {
 		if hotCalls[i].Load() < 1 {
 			t.Errorf("hot key %d never compiled", i)

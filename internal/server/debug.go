@@ -226,11 +226,11 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
 
 // --- GET /v1/debug/status ---------------------------------------------------
 
-// CacheStatus summarizes the compiled-unit cache. Compile digests the
-// "compile" span histogram.
+// CacheStatus summarizes the compiled-unit cache. Units counts every
+// resident unit, pinned ones included. Compile digests the "compile"
+// span histogram.
 type CacheStatus struct {
 	Units    int         `json:"units"`
-	Shards   int         `json:"shards"`
 	Hits     int64       `json:"hits"`
 	Misses   int64       `json:"misses"`
 	HitRatio float64     `json:"hit_ratio"`
@@ -284,7 +284,6 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Cache: CacheStatus{
 			Units:    s.cache.len(),
-			Shards:   s.cache.numShards(),
 			Hits:     hits,
 			Misses:   misses,
 			HitRatio: ratio,

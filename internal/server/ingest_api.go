@@ -54,7 +54,9 @@ type IngestResponse struct {
 
 // resolveIngestUnit maps an ingest request to a registered live unit,
 // registering it from inline source, suite name, or the compile cache
-// as needed, and returns its fingerprint.
+// as needed, and returns its fingerprint. A bare fingerprint the
+// server has never seen is returned as is: the store rejects it and
+// counts the rejection.
 func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (string, error) {
 	if req.Program != "" || req.Source != "" {
 		name, src, _, err := req.resolve()
@@ -75,32 +77,22 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 	if req.Fingerprint == "" {
 		return "", errBadRequest(`ingest needs "fingerprint", "program", or "source"`)
 	}
-	if s.ingest.Registered(req.Fingerprint) {
-		return req.Fingerprint, nil
-	}
 	// A fingerprint the server has compiled before (estimate/optimize)
 	// but never ingested: promote it from the compile cache.
-	if c, ok := s.cache.lookup(req.Fingerprint); ok {
-		s.registerLive(ctx, c)
-		return c.fingerprint, nil
+	if !s.ingest.Registered(req.Fingerprint) {
+		if c, ok := s.cache.lookup(req.Fingerprint); ok {
+			s.registerLive(ctx, c)
+		}
 	}
-	return "", errNotFound("unknown fingerprint %.12s: upload the source once (or query it first)",
-		req.Fingerprint)
+	return req.Fingerprint, nil
 }
 
-// registerLive registers c with the ingest store and pins it so LRU
-// eviction cannot orphan a live aggregate.
+// registerLive pins c in the unit cache, so eviction cannot orphan a
+// live aggregate, and then registers it with the ingest store: every
+// registered fingerprint resolves through the cache.
 func (s *Server) registerLive(ctx context.Context, c *compiled) {
+	s.cache.pin(c)
 	s.ingest.Register(c.fingerprint, c.unit.Name, c.probePlan(ctx))
-	s.liveUnits.Store(c.fingerprint, c)
-}
-
-// liveUnit returns the pinned compiled unit of an ingested fingerprint.
-func (s *Server) liveUnit(fp string) (*compiled, bool) {
-	if v, ok := s.liveUnits.Load(fp); ok {
-		return v.(*compiled), true
-	}
-	return nil, false
 }
 
 func (s *Server) handleIngest(r *http.Request) (any, error) {
@@ -121,7 +113,7 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ingest.ErrUnknownFingerprint):
-		return nil, errNotFound("%v", err)
+		return nil, errNotFound("%v: upload the source once (or query it first)", err)
 	case errors.Is(err, ingest.ErrDuplicate):
 		return nil, errConflict("%v", err)
 	case errors.Is(err, ingest.ErrShape), errors.Is(err, ingest.ErrInvalid):
@@ -185,10 +177,10 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 		return resp, nil
 	}
 
-	c, ok := s.liveUnit(fp)
-	if !ok {
+	if !s.ingest.Registered(fp) {
 		return nil, errNotFound("no live aggregate for fingerprint %.12s", fp)
 	}
+	c, _ := s.cache.lookup(fp) // registered units are pinned
 	snap, ok := s.ingest.Snapshot(fp)
 	if !ok {
 		return nil, errNotFound("fingerprint %.12s is registered but has no uploads yet", fp)

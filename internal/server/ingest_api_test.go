@@ -12,13 +12,13 @@ import (
 	"staticest/internal/server"
 )
 
-// strchrVector compiles the strchr example out-of-band and produces the
-// sparse probe vector a fleet member would upload. Compilation and
-// probe planning are deterministic, so the plan here matches the one
-// the server builds for the same source.
-func strchrVector(t testing.TB) (*probes.Vector, string) {
+// sparseVector compiles src out-of-band and produces the sparse probe
+// vector a fleet member would upload. Compilation and probe planning
+// are deterministic, so the plan here matches the one the server
+// builds for the same source.
+func sparseVector(t testing.TB, name, src string) *probes.Vector {
 	t.Helper()
-	u, err := staticest.Compile("strchr.c", []byte(strchrSrc))
+	u, err := staticest.Compile(name, []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,13 @@ func strchrVector(t testing.TB) (*probes.Vector, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Probes, staticest.Fingerprint([]byte(strchrSrc))
+	return res.Probes
+}
+
+// strchrVector is the strchr example's probe vector and fingerprint.
+func strchrVector(t testing.TB) (*probes.Vector, string) {
+	t.Helper()
+	return sparseVector(t, "strchr.c", strchrSrc), staticest.Fingerprint([]byte(strchrSrc))
 }
 
 func ingestBody(t *testing.T, fields map[string]any) string {
@@ -167,7 +173,7 @@ func TestIngestValidation(t *testing.T) {
 	}{
 		{"unknown fingerprint", ingestBody(t, map[string]any{
 			"fingerprint": "0123456789abcdef", "counts": vec.Counts,
-		}), http.StatusNotFound, ""},
+		}), http.StatusNotFound, "unknown_fingerprint"},
 		{"no identity", ingestBody(t, map[string]any{
 			"counts": vec.Counts,
 		}), http.StatusBadRequest, ""},
@@ -219,5 +225,40 @@ func TestIngestValidation(t *testing.T) {
 	}
 	if got := o.Counter("ingest_uploads_total").Value(); got != 1 {
 		t.Errorf("ingest_uploads_total = %d, want 1", got)
+	}
+}
+
+// TestIngestedUnitStaysCached pins that a unit with a live aggregate is
+// one resident copy outside the LRU: in a one-unit cache, ingesting A
+// and then estimating B must not evict A, so A's next estimate is a
+// hit (two compiles, not three) and its stats still resolve. A and B
+// are prefix mates, so the outcome cannot rest on which part of a
+// prefix-split table each lands in.
+func TestIngestedUnitStaysCached(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: 1})
+	srcs := prefixMates(2)
+	a, b := srcs[0], srcs[1]
+
+	if status, body := post(t, ts.URL+"/v1/profiles/ingest", ingestBody(t, map[string]any{
+		"name": "a.c", "source": a, "counts": sparseVector(t, "a.c", a).Counts,
+	})); status != http.StatusOK {
+		t.Fatalf("ingest A: status %d: %s", status, body)
+	}
+	for _, src := range []string{b, a} {
+		if status, body := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(src)+`}`); status != http.StatusOK {
+			t.Fatalf("estimate: status %d: %s", status, body)
+		}
+	}
+	if miss := o.Counter("server_cache_miss").Value(); miss != 2 {
+		t.Errorf("server_cache_miss = %d, want 2 (A and B each compiled once)", miss)
+	}
+	resp, err := http.Get(ts.URL + "/v1/profiles/stats?fingerprint=" + staticest.Fingerprint([]byte(a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("stats of A: status %d, want 200", resp.StatusCode)
 	}
 }

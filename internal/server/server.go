@@ -39,11 +39,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"staticest"
@@ -55,7 +55,8 @@ import (
 // Config tunes one Server. The zero value is usable: every field has a
 // production default.
 type Config struct {
-	// CacheSize bounds the compiled-unit LRU (default 64 units).
+	// CacheSize bounds the compiled-unit LRU (default 64 units). Units
+	// with a live aggregate are pinned outside it and not counted.
 	CacheSize int
 	// MaxBodyBytes caps request bodies (default 4 MiB — the largest
 	// suite source is well under 1 MiB).
@@ -122,13 +123,6 @@ type Server struct {
 	sem    chan struct{}
 	mux    *http.ServeMux
 
-	// liveUnits pins the compiled unit of every ingested fingerprint
-	// (fingerprint -> *compiled): the LRU may evict cold sources, but a
-	// unit with a live aggregate must stay resolvable for
-	// /v1/profiles/stats and freq_source "live". Bounded by the number
-	// of distinct fingerprints ever ingested.
-	liveUnits sync.Map
-
 	hits     *obs.Counter
 	misses   *obs.Counter
 	inflight *obs.Gauge
@@ -151,7 +145,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		obs:      cfg.Obs,
-		cache:    newUnitCache(cfg.CacheSize, 0), // next power of two >= GOMAXPROCS shards
+		cache:    newUnitCache(cfg.CacheSize),
 		ingest:   ingest.NewStore(cfg.Obs),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
@@ -236,6 +230,34 @@ func errConflict(format string, args ...any) error {
 	return &httpError{status: http.StatusConflict, msg: fmt.Sprintf(format, args...)}
 }
 
+// statusOf maps a handler error to its response status: an httpError's
+// own, 413 for a body over MaxBodyBytes, and 500 for anything else.
+func statusOf(err error) int {
+	var he *httpError
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &he):
+		return he.status
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusInternalServerError
+}
+
+// eofBody is a request body that records whether it was read to its end.
+type eofBody struct {
+	io.ReadCloser
+	eof bool
+}
+
+func (b *eofBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if err == io.EOF {
+		b.eof = true
+	}
+	return n, err
+}
+
 // apiHandler computes one endpoint's response value; the middleware in
 // api handles decoding limits, timeouts, recovery, and encoding.
 type apiHandler func(r *http.Request) (any, error)
@@ -258,7 +280,11 @@ type rawJSON []byte
 // worker slot is freed before the reply is written, so a slow reader
 // holds none. A handler that returns past the deadline gets 503
 // {"error":"request timed out"}, whatever it returned, and the
-// connection closes after the reply.
+// connection closes after the reply. So does a request whose body was
+// not read to its end, such as one that failed to decode: its read
+// deadline stays set, so net/http's drain of the rest of the body ends
+// at the deadline too, and a client that stalls mid-body still gets
+// its reply at once.
 //
 // Every request runs under a root span named "server.<endpoint>"
 // carrying the request ID (accepted from traceparent / X-Request-ID or
@@ -312,6 +338,8 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			})
 		}()
 		r = r.WithContext(obs.ContextWithSpan(ctx, sp))
+		body := &eofBody{ReadCloser: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), eof: r.ContentLength == 0}
+		r.Body = body
 
 		// Bound concurrent pipeline work. A request never queues
 		// indefinitely: when the semaphore is saturated it waits at most
@@ -336,7 +364,6 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			t.Stop()
 		}
 		if err == nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 			v, err = func() (v any, err error) {
 				defer func() {
 					if p := recover(); p != nil {
@@ -348,28 +375,26 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			}()
 			<-s.sem
 		}
-		// Clear the read deadline, then judge by the clock as well as
-		// ctx: a background read that timed out at the deadline cancels
-		// the connection's context for its next request, perhaps only
-		// after this check, so any reply at or past it closes the
-		// connection.
-		_ = rc.SetReadDeadline(time.Time{})
+		// Clear the read deadline once the body is read to its end, then
+		// judge by the clock as well as ctx: a background read that timed
+		// out at the deadline cancels the connection's context for its
+		// next request, perhaps only after this check, so any reply at
+		// or past it closes the connection. A body not read to its end
+		// (a decode error, a shed request) keeps the deadline, which
+		// bounds net/http's drain of the rest after the reply, and its
+		// connection closes.
+		if body.eof {
+			_ = rc.SetReadDeadline(time.Time{})
+		} else {
+			w.Header().Set("Connection", "close")
+		}
 		if ctx.Err() != nil || !time.Now().Before(deadline) {
 			v, err = nil, &httpError{status: http.StatusServiceUnavailable, msg: "request timed out"}
 			w.Header().Set("Connection", "close")
 		}
 		if err != nil {
 			errorsC.Add(1)
-			status := http.StatusInternalServerError
-			var he *httpError
-			var tooBig *http.MaxBytesError
-			switch {
-			case errors.As(err, &he):
-				status = he.status
-			case errors.As(err, &tooBig):
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeJSONError(w, status, err.Error())
+			writeJSONError(w, statusOf(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"staticest"
 	"staticest/internal/obs"
 	"staticest/internal/server"
 )
@@ -337,31 +338,86 @@ int main(void) {
 	}
 }
 
-// TestStalledBodyTimesOut pins the read deadline: a client that sends
-// the headers and part of a body and then stops gets 503 at the
-// request deadline, its read fails instead of blocking, and the only
-// worker slot is free for the next request.
+// prefixMates returns n programs whose fingerprints agree in digits 7
+// and 8, the low byte of their eight-hex-digit prefix, found by search.
+// A table split by fingerprint prefix into up to 256 parts puts them
+// all in one part, so a test over them cannot pass by the luck of how
+// keys spread.
+func prefixMates(n int) []string {
+	var srcs []string
+	var want string
+	for k := 0; len(srcs) < n; k++ {
+		src := fmt.Sprintf("int main(void) { int i; for (i = 0; i < %d; i++) ; return 0; }\n", k)
+		fp := staticest.Fingerprint([]byte(src))
+		if want == "" {
+			want = fp[6:8]
+		}
+		if fp[6:8] == want {
+			srcs = append(srcs, src)
+		}
+	}
+	return srcs
+}
+
+// TestCacheSizeBoundsEveryUnit pins CacheSize as the bound of the
+// whole cache, at any GOMAXPROCS: N prefix mates fit a cache of N
+// units, so estimating each twice compiles each once.
+func TestCacheSizeBoundsEveryUnit(t *testing.T) {
+	const n = 4
+	o := obs.New()
+	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: n})
+	srcs := prefixMates(n)
+	for round := 0; round < 2; round++ {
+		for _, src := range srcs {
+			if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(src)+`}`); status != http.StatusOK {
+				t.Fatalf("estimate: status %d, body %s", status, b)
+			}
+		}
+	}
+	if miss := o.Counter("server_cache_miss").Value(); miss != n {
+		t.Errorf("server_cache_miss = %d, want %d (each source compiled once)", miss, n)
+	}
+}
+
+// TestStalledBodyTimesOut pins the read deadline for a client that
+// sends the headers and part of a body and then stops. If the handler
+// waits on the body, its read fails at the request deadline and the
+// client gets 503. If the handler replies before reading the body to
+// its end, here on a decode error, the client gets that reply at once:
+// the rest of the body is not drained with no deadline. Either way the
+// only worker slot is free for the next request.
 func TestStalledBodyTimesOut(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{RequestTimeout: 100 * time.Millisecond, MaxConcurrent: 1})
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) // fail, not hang, if no reply comes
-	fmt.Fprintf(conn, "POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"+
-		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"source\":")
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatalf("stalled request got no reply: %v", err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || !bytes.Contains(b, []byte("timed out")) {
-		t.Fatalf("stalled request: status %d, body %s; want 503 timed out", resp.StatusCode, b)
-	}
-	if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
-		t.Fatalf("estimate after the stalled request: status %d, body %s; want 200", status, b)
+	for _, tc := range []struct {
+		name, part string
+		status     int
+		msg        string
+	}{
+		{"read to the deadline", `{"source":`, http.StatusServiceUnavailable, "timed out"},
+		{"early reply", "xxxxxxxxxx", http.StatusBadRequest, "decoding request"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, server.Config{RequestTimeout: 100 * time.Millisecond, MaxConcurrent: 1})
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second)) // fail, not hang, if no reply comes
+			fmt.Fprintf(conn, "POST /v1/estimate HTTP/1.1\r\nHost: test\r\n"+
+				"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n%s", tc.part)
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatalf("stalled request got no reply: %v", err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || !bytes.Contains(b, []byte(tc.msg)) {
+				t.Fatalf("stalled request: status %d, body %s; want %d %s", resp.StatusCode, b, tc.status, tc.msg)
+			}
+			if status, b := post(t, ts.URL+"/v1/estimate", `{"source":`+jsonString(strchrSrc)+`}`); status != http.StatusOK {
+				t.Fatalf("estimate after the stalled request: status %d, body %s; want 200", status, b)
+			}
+		})
 	}
 }
 

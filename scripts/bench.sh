@@ -93,10 +93,6 @@ bench_family() {
 
 interp_filter=${BENCH_FILTER:-'InterpretCompress|InlineXlisp|ProbeProfiling|ReuseTrace|ObsEnabled|CompilePhases|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
 serve_filter=${BENCH_SERVE_FILTER:-'ServeEstimate|ServeBatch|^BenchmarkIngest$'}
-# The serve family runs at GOMAXPROCS 8 so the parallel cache-scaling
-# benchmarks (ServeEstimateParallel) actually fan out; serial serve
-# benchmarks are single-request loops and are unaffected by extra Ps.
-serve_cpu=${BENCH_SERVE_CPU:-8}
 
 bench_family "$interp_filter" "${BENCH_OUT:-BENCH_interp.json}" . ./internal/obs
-bench_family "$serve_filter" "${BENCH_SERVE_OUT:-BENCH_serve.json}" -cpu "$serve_cpu" ./internal/server
+bench_family "$serve_filter" "${BENCH_SERVE_OUT:-BENCH_serve.json}" ./internal/server
