@@ -23,7 +23,8 @@
 // Ingested uploads close the PGO loop (see internal/ingest): they merge
 // into live per-unit aggregates, and /v1/optimize with
 // "freq_source":"live" plans from the fleet's measured frequencies,
-// falling back to the smart static estimate for cold fingerprints.
+// falling back to the smart static estimate for cold fingerprints. At
+// most -cache units are live; an upload of one more source gets 507.
 //
 // Inline sources are untrusted programs. Each run executes bytecode
 // under a -max-steps budget and stops at the request's -timeout
@@ -66,7 +67,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	cache := flag.Int("cache", 64, "compiled units kept in the LRU cache")
+	cache := flag.Int("cache", 64, "compiled units kept in the LRU cache, and the most units with a live profile")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline: runs stop and the client gets 503")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")

@@ -5,7 +5,6 @@
 package callgraph
 
 import (
-	"staticest/internal/cast"
 	"staticest/internal/graphs"
 	"staticest/internal/sem"
 )
@@ -115,12 +114,3 @@ func (g *Graph) MainIndex() int {
 
 // FuncName returns the name of function i.
 func (g *Graph) FuncName(i int) string { return g.Prog.Funcs[i].Name() }
-
-// CalleeOf resolves a call expression to a defined-function index, or -1
-// for indirect calls and builtins.
-func CalleeOf(c *cast.Call) int {
-	if o := c.Callee(); o != nil {
-		return o.FuncIndex
-	}
-	return -1
-}

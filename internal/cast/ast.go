@@ -189,9 +189,6 @@ var binaryNames = [...]string{
 
 func (op BinaryOp) String() string { return binaryNames[op] }
 
-// IsComparison reports whether op yields a boolean-valued int.
-func (op BinaryOp) IsComparison() bool { return op >= Lt }
-
 // Binary is a binary expression (excluding && and ||, which short-circuit
 // and are represented by Logical).
 type Binary struct {

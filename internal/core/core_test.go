@@ -256,6 +256,57 @@ int main(void){ return 0; }`)
 	}
 }
 
+// TestArcProbsNilIsLoopModel pins nil predictions as the loop
+// estimator's transition model: 50/50 ifs, loop continuation at
+// 1 − 1/LoopCount, uniform switch arms, no mass out of a return.
+func TestArcProbsNilIsLoopModel(t *testing.T) {
+	u := compile(t, `
+int f(int a) {
+	int i, s = 0;
+	if (a > 1) s = 1;
+	for (i = 0; i < a; i++) {
+		switch (a) { case 1: s++; break; case 2: s--; break; }
+	}
+	return s;
+}
+int main(void){ return 0; }`)
+	conf := core.DefaultConfig()
+	conf.LoopCount = 4
+	seen := map[string]bool{}
+	for _, blk := range u.cp.Graphs[0].Blocks {
+		var shape string
+		var want []float64
+		switch {
+		case blk.Term == cfg.TermJump:
+			shape, want = "jump", []float64{1}
+		case blk.Term == cfg.TermCond && blk.Origin == cfg.FromIf:
+			shape, want = "if", []float64{0.5, 0.5}
+		case blk.Term == cfg.TermCond:
+			shape, want = "loop test", []float64{0.75, 0.25}
+		case blk.Term == cfg.TermSwitch:
+			// Two cases and the implicit default.
+			shape, want = "switch", []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+		default:
+			shape = "return"
+		}
+		seen[shape] = true
+		got := core.ArcProbs(blk, nil, conf)
+		if len(got) != len(want) {
+			t.Errorf("%s block b%d: ArcProbs = %v, want %v", shape, blk.ID, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s block b%d: ArcProbs = %v, want %v", shape, blk.ID, got, want)
+				break
+			}
+		}
+	}
+	if len(seen) != 5 {
+		t.Errorf("covered %v, want all five block shapes", seen)
+	}
+}
+
 func TestIntraMarkovConservation(t *testing.T) {
 	// For a branchy function, Markov frequencies must satisfy flow
 	// conservation: each block's frequency equals its weighted inflow.

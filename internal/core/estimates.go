@@ -49,8 +49,8 @@ func EstimateAll(cp *cfg.Program, cg *callgraph.Graph, conf Config) *Estimates {
 	e.IntraSmart = make([]*IntraResult, n)
 	e.IntraMarkov = make([]*IntraResult, n)
 	for i, g := range cp.Graphs {
-		e.IntraLoop[i] = IntraAST(g, e.Pred, conf, false)
-		e.IntraSmart[i] = IntraAST(g, e.Pred, conf, true)
+		e.IntraLoop[i] = IntraAST(g, nil, conf)
+		e.IntraSmart[i] = IntraAST(g, e.Pred, conf)
 		e.IntraMarkov[i] = IntraMarkov(g, e.Pred, conf)
 	}
 

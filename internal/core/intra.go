@@ -19,15 +19,15 @@ type IntraResult struct {
 }
 
 // IntraAST computes the paper's AST-based block-frequency estimate for
-// one function. With smart=false it is the "loop" estimator (loop
-// nesting only, 50/50 branches); with smart=true branch and switch
-// predictions refine it. The walk deliberately ignores break, continue,
-// goto, and return, as the paper's AST model does.
-func IntraAST(g *cfg.Graph, preds *Predictions, conf Config, smart bool) *IntraResult {
+// one function. With nil preds it is the "loop" estimator (loop nesting
+// only, 50/50 branches, uniform switch arms); with preds it is the
+// "smart" estimator, refined by the branch and switch predictions. The
+// walk deliberately ignores break, continue, goto, and return, as the
+// paper's AST model does.
+func IntraAST(g *cfg.Graph, preds *Predictions, conf Config) *IntraResult {
 	w := &astWalker{
 		preds: preds,
 		conf:  conf,
-		smart: smart,
 		freq:  make(map[cast.Stmt]float64),
 	}
 	w.walk(g.Fn.Body, 1.0)
@@ -44,25 +44,21 @@ func IntraAST(g *cfg.Graph, preds *Predictions, conf Config, smart bool) *IntraR
 type astWalker struct {
 	preds *Predictions
 	conf  Config
-	smart bool
 	freq  map[cast.Stmt]float64
 }
 
 // probTrue returns the probability the branch condition holds, per the
 // active estimator (0.5 for "loop", predicted for "smart").
 func (w *astWalker) probTrue(bs cast.BranchStmt) float64 {
-	if !w.smart {
-		return 0.5
-	}
 	id := bs.BranchID()
-	if id < 0 || id >= len(w.preds.Branch) {
+	if w.preds == nil || id < 0 || id >= len(w.preds.Branch) {
 		return 0.5
 	}
 	return w.preds.Branch[id].ProbTrue
 }
 
 func (w *astWalker) armProbs(sw *cast.Switch, nArms int) []float64 {
-	if w.smart && sw.Branch >= 0 && sw.Branch < len(w.preds.Switch) {
+	if w.preds != nil && sw.Branch >= 0 && sw.Branch < len(w.preds.Switch) {
 		return w.preds.Switch[sw.Branch]
 	}
 	probs := make([]float64, nArms)

@@ -143,29 +143,23 @@ func EstimateInterMarkov(cg *callgraph.Graph, local []float64, conf Config) *Mar
 }
 
 // solveChain solves x_i = e_i + sum_f w[f][i] * x_f with e_main = 1.
-// It reports ok=false for singular systems or negative solutions.
+// It reports ok=false for singular systems or negative solutions; a
+// negative solution is still returned, unclamped.
 func solveChain(nn int, w []map[int]float64, mainIdx int) ([]float64, bool) {
-	a := linalg.NewMatrix(nn, nn)
-	b := make([]float64, nn)
-	for i := 0; i < nn; i++ {
-		a.Set(i, i, 1)
+	nArcs := 0
+	for f := 0; f < nn; f++ {
+		nArcs += len(w[f])
 	}
-	b[mainIdx] = 1
+	arcs := make([]linalg.Arc, 0, nArcs)
 	for f := 0; f < nn; f++ {
 		for g, weight := range w[f] {
-			a.Add(g, f, -weight)
+			arcs = append(arcs, linalg.Arc{From: f, To: g, P: weight})
 		}
 	}
-	x, err := linalg.Solve(a, b)
-	if err != nil {
-		return nil, false
-	}
-	for _, v := range x {
-		if v < -1e-9 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return x, false
-		}
-	}
-	return x, true
+	b := make([]float64, nn)
+	b[mainIdx] = 1
+	x, err := linalg.SolveFlow(nn, arcs, b)
+	return x, err == nil
 }
 
 // repairSCC solves the component in isolation with an artificial main
@@ -174,19 +168,19 @@ func solveChain(nn int, w []map[int]float64, mainIdx int) ([]float64, bool) {
 // the component are scaled down until it is. Reports whether any scaling
 // occurred.
 func repairSCC(comp []int, w []map[int]float64, conf Config) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
+	local := make(map[int]int, len(comp)) // function → unknown
+	for i, v := range comp {
+		local[v] = i
 	}
 	// External inflow census.
 	inflow := make(map[int]float64, len(comp))
 	total := 0.0
 	for f := range w {
-		if inComp[f] {
+		if _, in := local[f]; in {
 			continue
 		}
 		for g, weight := range w[f] {
-			if inComp[g] {
+			if _, in := local[g]; in {
 				inflow[g] += weight
 				total += weight
 			}
@@ -194,32 +188,27 @@ func repairSCC(comp []int, w []map[int]float64, conf Config) bool {
 	}
 	k := len(comp)
 	scaled := false
+	b := make([]float64, k)
+	var arcs []linalg.Arc
 	for iter := 0; iter < 400; iter++ {
-		a := linalg.NewMatrix(k, k)
-		b := make([]float64, k)
-		for i, v := range comp {
-			a.Set(i, i, 1)
+		arcs = arcs[:0]
+		for i, f := range comp {
 			if total > 0 {
-				b[i] = inflow[v] / total
+				b[i] = inflow[f] / total
 			} else {
 				b[i] = 1 / float64(k)
 			}
-		}
-		for i, f := range comp {
-			for j, g := range comp {
-				if weight, ok := w[f][g]; ok && weight != 0 {
-					a.Add(j, i, -weight)
+			for g, weight := range w[f] {
+				if j, in := local[g]; in && weight != 0 {
+					arcs = append(arcs, linalg.Arc{From: i, To: j, P: weight})
 				}
 			}
 		}
-		x, err := linalg.Solve(a, b)
+		x, err := linalg.SolveFlow(k, arcs, b)
 		valid := err == nil
-		if valid {
-			for _, v := range x {
-				if v < -1e-9 || v > conf.SCCCeiling || math.IsNaN(v) || math.IsInf(v, 0) {
-					valid = false
-					break
-				}
+		for _, v := range x {
+			if v > conf.SCCCeiling {
+				valid = false
 			}
 		}
 		if valid {
@@ -228,7 +217,7 @@ func repairSCC(comp []int, w []map[int]float64, conf Config) bool {
 		// Scale down every arc inside the component.
 		for _, f := range comp {
 			for g := range w[f] {
-				if inComp[g] {
+				if _, in := local[g]; in {
 					w[f][g] *= conf.SCCScaleStep
 				}
 			}

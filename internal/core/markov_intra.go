@@ -5,11 +5,13 @@ import (
 	"staticest/internal/linalg"
 )
 
-// ArcProbs returns the outgoing transition probabilities of a block under
-// the smart predictor: probs[i] is the probability of taking Succs[i].
-// Returns on a TermReturn block leave the chain (no outgoing mass).
-// Exported for the optimizer subsystem, which converts estimated block
-// frequencies into estimated edge frequencies with it.
+// ArcProbs returns the outgoing transition probabilities of a block:
+// probs[i] is the probability of taking Succs[i]. It is the one
+// transition model of every estimator. With preds it is the smart
+// model: predicted branch and switch-arm probabilities. With nil preds
+// it is the loop model: 50/50 ifs, loop continuation at 1 − 1/LoopCount
+// and uniform switch arms. Returns on a TermReturn block leave the
+// chain (no outgoing mass).
 func ArcProbs(blk *cfg.Block, preds *Predictions, conf Config) []float64 {
 	switch blk.Term {
 	case cfg.TermJump:
@@ -19,26 +21,14 @@ func ArcProbs(blk *cfg.Block, preds *Predictions, conf Config) []float64 {
 		return nil
 	case cfg.TermCond:
 		p := 0.5
-		if blk.BranchSite >= 0 && blk.BranchSite < len(preds.Branch) {
-			bp := preds.Branch[blk.BranchSite]
-			p = bp.ProbTrue
-			if bp.Constant {
-				// Constant conditions still shape flow; use the folded
-				// direction with full probability.
-				if bp.ConstTrue {
-					p = 1
-				} else {
-					p = 0
-				}
-			}
+		if preds != nil && blk.BranchSite >= 0 && blk.BranchSite < len(preds.Branch) {
+			p = preds.Branch[blk.BranchSite].ProbTrue
 		} else if blk.Origin != cfg.FromIf {
-			// A loop condition without a branch site (shouldn't happen,
-			// but stay safe): assume continuation.
 			p = conf.loopContinueProb()
 		}
 		return []float64{p, 1 - p}
 	case cfg.TermSwitch:
-		if blk.SwitchSite >= 0 && blk.SwitchSite < len(preds.Switch) {
+		if preds != nil && blk.SwitchSite >= 0 && blk.SwitchSite < len(preds.Switch) {
 			probs := preds.Switch[blk.SwitchSite]
 			if len(probs) == len(blk.Succs) {
 				return probs
@@ -57,48 +47,33 @@ func ArcProbs(blk *cfg.Block, preds *Predictions, conf Config) []float64 {
 // block has frequency 1 plus inflow, every other block's frequency is
 // the probability-weighted sum of its predecessors' frequencies, and the
 // resulting linear system is solved exactly. When the system is singular
-// (a loop with no exit) or produces negative frequencies, the paper's
-// AST estimate is used as a fallback and Fallback is set.
+// (a loop with no exit) or produces negative or non-finite frequencies,
+// the paper's AST estimate is used as a fallback and Fallback is set.
 func IntraMarkov(g *cfg.Graph, preds *Predictions, conf Config) *IntraResult {
 	n := len(g.Blocks)
 	if n == 0 {
 		return &IntraResult{}
 	}
-	a := linalg.NewMatrix(n, n)
-	b := make([]float64, n)
-	for i := range g.Blocks {
-		a.Set(i, i, 1)
+	nArcs := 0
+	for _, blk := range g.Blocks {
+		nArcs += len(blk.Succs)
 	}
-	entryID := g.Entry.ID
-	b[entryID] = 1
+	arcs := make([]linalg.Arc, 0, nArcs)
 	for _, blk := range g.Blocks {
 		probs := ArcProbs(blk, preds, conf)
 		for i, s := range blk.Succs {
 			if i < len(probs) && probs[i] != 0 {
-				// freq[s] -= prob * freq[blk]  (moved to the LHS)
-				a.Add(s.ID, blk.ID, -probs[i])
+				arcs = append(arcs, linalg.Arc{From: blk.ID, To: s.ID, P: probs[i]})
 			}
 		}
 	}
-	x, err := linalg.Solve(a, b)
-	valid := err == nil
-	if valid {
-		for _, v := range x {
-			if v < -1e-9 {
-				valid = false
-				break
-			}
-		}
-	}
-	if !valid {
-		res := IntraAST(g, preds, conf, true)
+	inflow := make([]float64, n)
+	inflow[g.Entry.ID] = 1
+	x, err := linalg.SolveFlow(n, arcs, inflow)
+	if err != nil {
+		res := IntraAST(g, preds, conf)
 		res.Fallback = true
 		return res
-	}
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
 	}
 	return &IntraResult{BlockFreq: x}
 }

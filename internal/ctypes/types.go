@@ -174,9 +174,6 @@ func (t *Type) IsArith() bool { return t.IsInteger() || t.IsFloat() }
 // IsScalar reports whether t is arithmetic or a pointer.
 func (t *Type) IsScalar() bool { return t.IsArith() || t.Kind == Ptr }
 
-// IsPtr reports whether t is a pointer.
-func (t *Type) IsPtr() bool { return t.Kind == Ptr }
-
 // IsVoidPtr reports whether t is void*.
 func (t *Type) IsVoidPtr() bool { return t.Kind == Ptr && t.Elem.Kind == Void }
 

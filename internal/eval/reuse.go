@@ -146,19 +146,18 @@ func scoreReuse(prog string, est, measured *reuse.Profile) ReuseRow {
 
 // reuseSpillTaus computes the plain and cache-aware spill ranking
 // agreement between an estimate source and the measured profile
-// source, averaged over executed functions with at least two
-// candidate variables.
+// source, averaged over executed functions (those selfSrc saw called)
+// with at least two candidate variables.
 func reuseSpillTaus(d *ProgramData, src, selfSrc *opt.Source, tab *reuse.Table,
 	est *reuse.Profile, measMiss map[*cast.Object]float64) (plain, cache float64) {
 	estMiss := reuse.ObjectMissRatio(tab, est, reuse.DefaultCapacity)
 	missFn := func(m map[*cast.Object]float64) func(*cast.Object) float64 {
 		return func(o *cast.Object) float64 { return m[o] }
 	}
-	self, _ := profile.Aggregate(d.Profiles)
 	var sumP, sumC float64
 	var n int
 	for fi := range d.Unit.Sem.Funcs {
-		if self != nil && self.FuncCalls[fi] == 0 {
+		if selfSrc.Func[fi] == 0 {
 			continue
 		}
 		ws := opt.SpillWeights(d.Unit.CFG, fi, src)

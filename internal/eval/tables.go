@@ -8,7 +8,6 @@ import (
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
 	"staticest/internal/core"
-	"staticest/internal/linalg"
 	"staticest/internal/metric"
 	"staticest/internal/suite"
 	"staticest/internal/texttab"
@@ -177,23 +176,19 @@ func Figure6() (string, error) {
 }
 
 // Figure7 renders the linear system the Markov model solves for strchr
-// and its solution, matching the paper's Figure 7 (while = 2.78, if =
-// 2.22, return1 = 0.44, incr = 1.78, return2 = 0.56).
+// and the estimator's own solution of it, matching the paper's Figure 7
+// (while = 2.78, if = 2.22, return1 = 0.44, incr = 1.78, return2 =
+// 0.56).
 func Figure7() (string, error) {
 	u, est, _, err := StrchrData()
 	if err != nil {
 		return "", err
 	}
 	g := u.CFG.Graphs[0]
-	n := len(g.Blocks)
-
-	// Rebuild the system exactly as IntraMarkov does, for display.
-	a := linalg.NewMatrix(n, n)
-	bvec := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
+	res := est.IntraMarkov[0]
+	if res.Fallback {
+		return "", fmt.Errorf("figure 7: the strchr Markov system did not solve")
 	}
-	bvec[g.Entry.ID] = 1
 
 	var sb strings.Builder
 	sb.WriteString("Figure 7: Markov linear system for strchr\n\n")
@@ -203,8 +198,14 @@ func Figure7() (string, error) {
 			terms = append(terms, "1")
 		}
 		for _, pred := range blk.Preds {
-			p := arcProbForDisplay(pred, blk, est)
-			a.Add(blk.ID, pred.ID, -p)
+			// The probability on the pred -> blk arc, summed over the
+			// successor slots of pred that target blk.
+			p := 0.0
+			for i, q := range core.ArcProbs(pred, est.Pred, est.Config) {
+				if pred.Succs[i] == blk {
+					p += q
+				}
+			}
 			if p == 1 {
 				terms = append(terms, strchrBlockName(pred))
 			} else {
@@ -216,31 +217,9 @@ func Figure7() (string, error) {
 		}
 		fmt.Fprintf(&sb, "  %-8s = %s\n", strchrBlockName(blk), strings.Join(terms, " + "))
 	}
-	x, err := linalg.Solve(a, bvec)
-	if err != nil {
-		return "", err
-	}
 	sb.WriteString("\nsolution:\n")
 	for _, blk := range g.Blocks {
-		fmt.Fprintf(&sb, "  %-8s = %.2f\n", strchrBlockName(blk), x[blk.ID])
+		fmt.Fprintf(&sb, "  %-8s = %.2f\n", strchrBlockName(blk), res.BlockFreq[blk.ID])
 	}
 	return sb.String(), nil
-}
-
-// arcProbForDisplay recovers the probability on the pred -> blk arc.
-func arcProbForDisplay(pred, blk *cfg.Block, est *core.Estimates) float64 {
-	switch pred.Term {
-	case cfg.TermCond:
-		p := est.Pred.Branch[pred.BranchSite].ProbTrue
-		total := 0.0
-		if pred.Succs[0] == blk {
-			total += p
-		}
-		if pred.Succs[1] == blk {
-			total += 1 - p
-		}
-		return total
-	default:
-		return 1
-	}
 }

@@ -6,39 +6,22 @@ import (
 	"testing"
 )
 
-// markovMatrix builds the I - Pᵀ system IntraMarkov assembles: one row
-// per block, diagonal 1, and -prob[from] in column from for every edge
-// from→to. This is the exact shape that degenerates when a CFG region
-// cycles with probability 1.
-func markovMatrix(n int, edges [][3]float64) *Matrix {
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	for _, e := range edges {
-		from, to, p := int(e[0]), int(e[1]), e[2]
-		a.Add(to, from, -p)
-	}
-	return a
-}
-
 // TestSolveSingularInfiniteLoop: a two-block cycle taken with
 // probability 1 (while(1) with no break) yields a rank-deficient
 // system — frequencies are unbounded, and the solver must say so with
 // the typed error rather than returning garbage.
 func TestSolveSingularInfiniteLoop(t *testing.T) {
 	// entry(0) -> loop(1), loop -> loop body(2) -> loop, all prob 1.
-	a := markovMatrix(3, [][3]float64{
+	x, err := SolveFlow(3, []Arc{
 		{0, 1, 1}, // entry feeds the loop head
 		{1, 2, 1}, // head always enters the body
 		{2, 1, 1}, // body always returns to the head
-	})
-	_, err := Solve(a, []float64{1, 0, 0})
+	}, []float64{1, 0, 0})
 	if err == nil {
 		t.Fatal("probability-1 cycle solved; want ErrSingular")
 	}
-	if !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
+	if !errors.Is(err, ErrSingular) || x != nil {
+		t.Fatalf("x, err = %v, %v; want nil, ErrSingular", x, err)
 	}
 }
 
@@ -106,11 +89,10 @@ func TestSolveIllConditionedStillSolves(t *testing.T) {
 // unstable frequencies.
 func TestSolveNearlySingularMarkov(t *testing.T) {
 	p := 1 - 1e-15
-	a := markovMatrix(2, [][3]float64{
+	x, err := SolveFlow(2, []Arc{
 		{0, 1, 1}, // entry -> head
 		{1, 1, p}, // head -> head (self-loop, ~prob 1)
-	})
-	x, err := Solve(a, []float64{1, 0})
+	}, []float64{1, 0})
 	if err == nil {
 		// If the pivot squeaks past tolerance the solution must at least
 		// be finite; either outcome is acceptable, NaN/Inf is not.

@@ -1,7 +1,13 @@
-// Package linalg provides the dense linear-algebra kernel the Markov
-// estimators need: solving Ax = b by Gaussian elimination with partial
-// pivoting. The systems are small (one unknown per basic block or per
-// function), so a dense O(n³) solver is the right tool.
+// Package linalg solves the linear systems of the Markov estimators.
+// SolveFlow is the one place such a system is built: the flow
+// equations x = inflow + Pᵀx of a chain with one unknown per basic
+// block or per function, the sparse linear-equational form of a
+// probabilistic program (Di Pierro & Wiklicky, arXiv 1307.4474). A
+// system reaches cfg.MaxNodes = 2,048 unknowns and is solved by dense
+// Gaussian elimination with partial pivoting, which is cubic in the
+// unknowns once the elimination fills in: a 2,040-arm switch inside a
+// loop takes seconds. Solve is the same elimination on a general
+// matrix, kept as the reference SolveFlow is tested against.
 package linalg
 
 import (
@@ -12,6 +18,10 @@ import (
 
 // ErrSingular is returned when the system has no unique solution.
 var ErrSingular = errors.New("linalg: singular matrix")
+
+// ErrNegativeFlow is returned by SolveFlow when a flow is negative or
+// not finite: the chain's arcs carry more than the flow they receive.
+var ErrNegativeFlow = errors.New("linalg: negative or non-finite flow")
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -43,9 +53,49 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Solve solves A·x = b in place on copies (A and b are not modified) by
-// Gaussian elimination with partial pivoting. It returns ErrSingular if
-// no pivot exceeds the tolerance.
+// Arc is one transition of a Markov chain: a fraction P of the flow
+// through state From continues to state To.
+type Arc struct {
+	From, To int
+	P        float64
+}
+
+// SolveFlow solves the flow equations of an n-state Markov chain:
+// x[i] = inflow[i] + Σ P over the arcs into i of x[From]. Parallel arcs
+// add. The solution is computed in place in inflow, which has n
+// entries and is returned as x. A flow above −1e-9 but below zero is
+// rounding and clamps to 0. A flow below −1e-9, or one that is not
+// finite, returns ErrNegativeFlow with the unclamped x; a singular
+// system (a cycle taken with probability 1) returns ErrSingular and a
+// nil x.
+func SolveFlow(n int, arcs []Arc, inflow []float64) ([]float64, error) {
+	a := make([]float64, n*n) // I − Pᵀ
+	for i := 0; i < n; i++ {
+		a[i*n+i] = 1
+	}
+	for _, e := range arcs {
+		a[e.To*n+e.From] -= e.P
+	}
+	x := inflow
+	if err := eliminate(a, n, x); err != nil {
+		return nil, err
+	}
+	for _, v := range x {
+		if v < -1e-9 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return x, ErrNegativeFlow
+		}
+	}
+	for i, v := range x {
+		if v < 0 {
+			x[i] = 0
+		}
+	}
+	return x, nil
+}
+
+// Solve solves A·x = b by Gaussian elimination with partial pivoting,
+// on copies (A and b are not modified). It returns ErrSingular if no
+// pivot exceeds the tolerance.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -57,58 +107,62 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	const tol = 1e-12
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	x := append([]float64(nil), b...)
+	if err := eliminate(a.Clone().Data, n, x); err != nil {
+		return nil, err
 	}
+	return x, nil
+}
+
+// eliminate solves the n×n row-major system m·x = b in place: m is
+// destroyed, and b is replaced by the solution.
+func eliminate(m []float64, n int, x []float64) error {
+	const tol = 1e-12
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		pivot := col
-		best := math.Abs(m.At(col, col))
+		best := math.Abs(m[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > best {
+			if v := math.Abs(m[r*n+col]); v > best {
 				best = v
 				pivot = r
 			}
 		}
 		if best < tol {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivot != col {
-			for j := 0; j < n; j++ {
-				vi, vj := m.At(col, j), m.At(pivot, j)
-				m.Set(col, j, vj)
-				m.Set(pivot, j, vi)
+			rc, rp := m[col*n:(col+1)*n], m[pivot*n:(pivot+1)*n]
+			for j := range rc {
+				rc[j], rp[j] = rp[j], rc[j]
 			}
 			x[col], x[pivot] = x[pivot], x[col]
 		}
-		inv := 1 / m.At(col, col)
+		rc := m[col*n : (col+1)*n]
+		inv := 1 / rc[col]
 		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
+			rr := m[r*n : (r+1)*n]
+			f := rr[col] * inv
 			if f == 0 {
 				continue
 			}
-			m.Set(r, col, 0)
+			rr[col] = 0
 			for j := col + 1; j < n; j++ {
-				m.Add(r, j, -f*m.At(col, j))
+				rr[j] += -f * rc[j]
 			}
 			x[r] -= f * x[col]
 		}
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
+		ri := m[i*n : (i+1)*n]
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			s -= ri[j] * x[j]
 		}
-		x[i] = s / m.At(i, i)
+		x[i] = s / ri[i]
 	}
-	return x, nil
+	return nil
 }
 
 // Residual returns the max-norm of A·x − b, a cheap verification that a

@@ -60,16 +60,13 @@ func TestSolveStrchrSystem(t *testing.T) {
 	// The paper's Figure 7 system (entry merged into while):
 	// while = 1 + incr; if = .8 while; r1 = .2 if; incr = .8 if; r2 = .2 while
 	// Order: while, if, r1, incr, r2.
-	a := NewMatrix(5, 5)
-	for i := 0; i < 5; i++ {
-		a.Set(i, i, 1)
-	}
-	a.Set(0, 3, -1)   // while -= incr
-	a.Set(1, 0, -0.8) // if -= .8 while
-	a.Set(2, 1, -0.2)
-	a.Set(3, 1, -0.8)
-	a.Set(4, 0, -0.2)
-	x, err := Solve(a, []float64{1, 0, 0, 0, 0})
+	x, err := SolveFlow(5, []Arc{
+		{3, 0, 1}, // incr -> while
+		{0, 1, 0.8},
+		{1, 2, 0.2},
+		{1, 3, 0.8},
+		{0, 4, 0.2},
+	}, []float64{1, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

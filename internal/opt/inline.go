@@ -39,15 +39,6 @@ type InlinePlan struct {
 	CostUsed int        // blocks of budget consumed
 }
 
-// ChosenSites returns the chosen site IDs in rank order.
-func (p *InlinePlan) ChosenSites() []int {
-	out := make([]int, len(p.Chosen))
-	for i, d := range p.Chosen {
-		out[i] = d.Site
-	}
-	return out
-}
-
 // callStmt matches the two statement shapes the inliner accepts: a call
 // evaluated for effect (`f(a, b);`) and a call assigned to a plain
 // variable (`x = f(a, b);`). Anything else — calls in conditions,

@@ -104,46 +104,15 @@ func EstimateSource(cp *cfg.Program, est *core.Estimates, kind string) (*Source,
 			s.Site[site.ID] = intra[fi].BlockFreq[blk.ID] * inv[fi]
 		}
 	}
-	conf := est.Config
+	// The loop ladder's transition model is ArcProbs without predictions.
+	conf, pred := est.Config, est.Pred
 	if kind == "loop" {
-		s.edge = func(fi int, blk *cfg.Block) []float64 {
-			return scaleProbs(loopArcProbs(blk, conf), s.Block[fi][blk.ID])
-		}
-	} else {
-		pred := est.Pred
-		s.edge = func(fi int, blk *cfg.Block) []float64 {
-			return scaleProbs(core.ArcProbs(blk, pred, conf), s.Block[fi][blk.ID])
-		}
+		pred = nil
+	}
+	s.edge = func(fi int, blk *cfg.Block) []float64 {
+		return scaleProbs(core.ArcProbs(blk, pred, conf), s.Block[fi][blk.ID])
 	}
 	return s, nil
-}
-
-// loopArcProbs is the "loop" estimator's transition model: 50/50
-// if-branches, loop continuation at 1 - 1/LoopCount, uniform switches.
-func loopArcProbs(blk *cfg.Block, conf core.Config) []float64 {
-	switch blk.Term {
-	case cfg.TermJump:
-		if len(blk.Succs) == 1 {
-			return []float64{1}
-		}
-		return nil
-	case cfg.TermCond:
-		p := 0.5
-		if blk.Origin != cfg.FromIf {
-			p = 1 - 1/conf.LoopCount
-			if conf.LoopCount <= 1 {
-				p = 0.5
-			}
-		}
-		return []float64{p, 1 - p}
-	case cfg.TermSwitch:
-		out := make([]float64, len(blk.Succs))
-		for i := range out {
-			out[i] = 1 / float64(len(blk.Succs))
-		}
-		return out
-	}
-	return nil // TermReturn
 }
 
 func scaleProbs(probs []float64, k float64) []float64 {

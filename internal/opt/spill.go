@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"sort"
-
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
 )
@@ -89,27 +87,6 @@ func CacheAwareSpillWeights(ws []SpillWeight, miss func(*cast.Object) float64) [
 	out := append([]SpillWeight(nil), ws...)
 	for i := range out {
 		out[i].Weight *= SpillMissFloor + miss(out[i].Obj)
-	}
-	return out
-}
-
-// SpillRanking returns the variables of a SpillWeights result ordered by
-// descending weight (most expensive to spill first), ties by name.
-func SpillRanking(ws []SpillWeight) []string {
-	idx := make([]int, len(ws))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		wa, wb := ws[idx[a]], ws[idx[b]]
-		if wa.Weight != wb.Weight {
-			return wa.Weight > wb.Weight
-		}
-		return wa.Name < wb.Name
-	})
-	out := make([]string, len(idx))
-	for k, i := range idx {
-		out[k] = ws[i].Name
 	}
 	return out
 }

@@ -198,8 +198,8 @@ type Weights struct {
 	// BlockFreq[funcIndex][blockID] is the estimated per-entry execution
 	// frequency of a block. Nil (or a missing function) means uniform.
 	BlockFreq [][]float64
-	// Pred supplies branch and switch-arm probabilities. Nil means
-	// 50/50 branches and uniform arms.
+	// Pred supplies branch and switch-arm probabilities. Nil means the
+	// loop estimator's model (core.ArcProbs with nil predictions).
 	Pred *core.Predictions
 }
 
@@ -210,13 +210,14 @@ func SmartWeights(cp *cfg.Program, conf core.Config) *Weights {
 	pred := core.Predict(cp, conf)
 	bf := make([][]float64, len(cp.Graphs))
 	for i, g := range cp.Graphs {
-		bf[i] = core.IntraAST(g, pred, conf, true).BlockFreq
+		bf[i] = core.IntraAST(g, pred, conf).BlockFreq
 	}
 	return &Weights{BlockFreq: bf, Pred: pred}
 }
 
 // BuildPlan computes the probe placement for a program. w may be nil,
-// which yields uniform weights (still exact, just less optimized).
+// which yields uniform block weights and the loop model's arc
+// probabilities (still exact, just less optimized).
 func BuildPlan(cp *cfg.Program, w *Weights) *Plan {
 	if w == nil {
 		w = &Weights{}
@@ -272,7 +273,9 @@ func (p *Plan) planFunc(fi int, g *cfg.Graph, w *Weights) {
 			})
 			continue
 		}
-		probs := arcProbs(blk, w.Pred)
+		// The config reaches the weights only through nil predictions,
+		// as the loop model's continuation probability.
+		probs := core.ArcProbs(blk, w.Pred, core.DefaultConfig())
 		fp.SuccProbe[blk.ID] = make([]int32, len(blk.Succs))
 		fp.SuccArc[blk.ID] = make([]int32, len(blk.Succs))
 		for slot, succ := range blk.Succs {
@@ -313,40 +316,6 @@ func (p *Plan) planFunc(fi int, g *cfg.Graph, w *Weights) {
 			fp.ExitProbe[blk.ID] = fp.Arcs[ai].Probe
 		}
 	}
-}
-
-// arcProbs returns the outgoing-arc probabilities of a non-returning
-// block under the given predictions (uniform fallbacks throughout).
-func arcProbs(blk *cfg.Block, pred *core.Predictions) []float64 {
-	n := len(blk.Succs)
-	probs := make([]float64, n)
-	switch blk.Term {
-	case cfg.TermCond:
-		pt := 0.5
-		if pred != nil && blk.BranchSite >= 0 && blk.BranchSite < len(pred.Branch) {
-			pt = pred.Branch[blk.BranchSite].ProbTrue
-		}
-		if n == 2 {
-			probs[0], probs[1] = pt, 1-pt
-			return probs
-		}
-	case cfg.TermSwitch:
-		if pred != nil && blk.SwitchSite >= 0 && blk.SwitchSite < len(pred.Switch) {
-			if arm := pred.Switch[blk.SwitchSite]; len(arm) == n {
-				copy(probs, arm)
-				return probs
-			}
-		}
-	case cfg.TermJump:
-		if n == 1 {
-			probs[0] = 1
-			return probs
-		}
-	}
-	for i := range probs {
-		probs[i] = 1 / float64(n)
-	}
-	return probs
 }
 
 // planSites classifies every call site and assigns counters to the

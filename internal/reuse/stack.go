@@ -32,15 +32,6 @@ func Distances(trace []interp.MemAccess) []float64 {
 	return out
 }
 
-// Distinct returns the number of distinct addresses in the trace.
-func Distinct(trace []interp.MemAccess) int {
-	seen := make(map[uint64]struct{}, 1024)
-	for i := range trace {
-		seen[trace[i].Addr] = struct{}{}
-	}
-	return len(seen)
-}
-
 // Measure folds a trace into a measured reuse profile against the
 // table: every access contributes unit mass at its stack distance to
 // the whole-program histogram and to its reference site's histogram.

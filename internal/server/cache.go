@@ -123,7 +123,7 @@ func encodeBody(v any) ([]byte, error) {
 // a unit with a live aggregate moves out of the LRU and is never
 // evicted, so an ingested fingerprint stays one resident copy that
 // /v1/profiles/stats and freq_source "live" can always resolve. The
-// bound counts only the LRU's units.
+// same limit bounds the LRU's units and, separately, the pinned ones.
 //
 // One mutex guards the table. A miss is deduplicated by singleflight:
 // when N requests for the same uncached source arrive concurrently,
@@ -146,7 +146,8 @@ type flight struct {
 	err  error
 }
 
-// newUnitCache builds a cache holding at most limit unpinned units.
+// newUnitCache builds a cache holding at most limit unpinned units and
+// limit pinned ones.
 func newUnitCache(limit int) *unitCache {
 	return &unitCache{
 		limit:   limit,
@@ -220,17 +221,23 @@ func (uc *unitCache) lookup(key string) (*compiled, bool) {
 
 // pin moves c out of the LRU for good. A unit the LRU evicted before
 // the pin is pinned all the same; a pinned key is never compiled again.
-func (uc *unitCache) pin(c *compiled) {
+// At most limit units are pinned: past that, pin leaves a new unit
+// where it is and reports false.
+func (uc *unitCache) pin(c *compiled) bool {
 	uc.mu.Lock()
 	defer uc.mu.Unlock()
 	if _, ok := uc.pinned[c.fingerprint]; ok {
-		return
+		return true
+	}
+	if len(uc.pinned) >= uc.limit {
+		return false
 	}
 	if el, ok := uc.byKey[c.fingerprint]; ok {
 		uc.lru.Remove(el)
 		delete(uc.byKey, c.fingerprint)
 	}
 	uc.pinned[c.fingerprint] = c
+	return true
 }
 
 // len returns the number of resident units, pinned ones included.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"staticest/internal/eval"
@@ -71,7 +72,9 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 			return "", errUnprocessable("fingerprint %.12s does not match the supplied source (%.12s)",
 				req.Fingerprint, c.fingerprint)
 		}
-		s.registerLive(ctx, c)
+		if err := s.registerLive(ctx, c); err != nil {
+			return "", err
+		}
 		return c.fingerprint, nil
 	}
 	if req.Fingerprint == "" {
@@ -81,7 +84,9 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 	// but never ingested: promote it from the compile cache.
 	if !s.ingest.Registered(req.Fingerprint) {
 		if c, ok := s.cache.lookup(req.Fingerprint); ok {
-			s.registerLive(ctx, c)
+			if err := s.registerLive(ctx, c); err != nil {
+				return "", err
+			}
 		}
 	}
 	return req.Fingerprint, nil
@@ -89,10 +94,17 @@ func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (str
 
 // registerLive pins c in the unit cache, so eviction cannot orphan a
 // live aggregate, and then registers it with the ingest store: every
-// registered fingerprint resolves through the cache.
-func (s *Server) registerLive(ctx context.Context, c *compiled) {
-	s.cache.pin(c)
+// registered fingerprint resolves through the cache. Past CacheSize
+// live units a new one is refused with 507: the limit does not clear
+// by waiting, so it is not a 429 a client would retry.
+func (s *Server) registerLive(ctx context.Context, c *compiled) error {
+	if !s.cache.pin(c) {
+		s.liveRejects.Add(1)
+		return &httpError{status: http.StatusInsufficientStorage,
+			msg: fmt.Sprintf("live-unit limit of %d reached", s.cfg.CacheSize)}
+	}
 	s.ingest.Register(c.fingerprint, c.unit.Name, c.probePlan(ctx))
+	return nil
 }
 
 func (s *Server) handleIngest(r *http.Request) (any, error) {

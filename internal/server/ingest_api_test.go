@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"staticest"
@@ -225,6 +226,52 @@ func TestIngestValidation(t *testing.T) {
 	}
 	if got := o.Counter("ingest_uploads_total").Value(); got != 1 {
 		t.Errorf("ingest_uploads_total = %d, want 1", got)
+	}
+}
+
+// TestLiveUnitLimit pins CacheSize as the bound of live units: with
+// room for two, the third distinct ingested source is refused with 507
+// and counted, /healthz reads two live units, and the first two still
+// accept uploads.
+func TestLiveUnitLimit(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, server.Config{Obs: o, CacheSize: 2})
+	upload := func(k int) (int, string) {
+		src := fmt.Sprintf("int main(void) { return %d; }\n", k)
+		status, body := post(t, ts.URL+"/v1/profiles/ingest", ingestBody(t, map[string]any{
+			"name": "u.c", "source": src, "counts": sparseVector(t, "u.c", src).Counts,
+		}))
+		return status, string(body)
+	}
+	for k := 0; k < 2; k++ {
+		if status, body := upload(k); status != http.StatusOK {
+			t.Fatalf("ingest %d: status %d: %s", k, status, body)
+		}
+	}
+	status, body := upload(2)
+	if want := `{"error":"live-unit limit of 2 reached"}`; status != http.StatusInsufficientStorage ||
+		strings.TrimSpace(body) != want {
+		t.Errorf("third source: status %d, body %s; want 507 %s", status, body, want)
+	}
+	if got := o.Counter(obs.Labels("ingest_rejects_total", "reason", "live_limit")).Value(); got != 1 {
+		t.Errorf(`ingest_rejects_total{reason="live_limit"} = %d, want 1`, got)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		LiveUnits int `json:"live_units"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil || health.LiveUnits != 2 {
+		t.Errorf("/healthz live_units = %d (err %v), want 2", health.LiveUnits, err)
+	}
+	for k := 0; k < 2; k++ {
+		if status, body := upload(k); status != http.StatusOK {
+			t.Errorf("upload to live unit %d: status %d: %s", k, status, body)
+		}
 	}
 }
 

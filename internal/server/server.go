@@ -56,7 +56,9 @@ import (
 // production default.
 type Config struct {
 	// CacheSize bounds the compiled-unit LRU (default 64 units). Units
-	// with a live aggregate are pinned outside it and not counted.
+	// with a live aggregate are pinned outside it and not counted
+	// there; CacheSize bounds them separately, and an ingest that would
+	// register one more gets 507.
 	CacheSize int
 	// MaxBodyBytes caps request bodies (default 4 MiB — the largest
 	// suite source is well under 1 MiB).
@@ -130,6 +132,7 @@ type Server struct {
 
 	batchItems      *obs.Counter
 	batchItemErrors *obs.Counter
+	liveRejects     *obs.Counter // ingest_rejects_total{reason="live_limit"}
 
 	// endpoints lists the API endpoint names in registration order;
 	// /v1/debug/status walks it to summarize the server.<endpoint> span
@@ -156,6 +159,7 @@ func New(cfg Config) *Server {
 
 		batchItems:      cfg.Obs.Counter("server_batch_items_total"),
 		batchItemErrors: cfg.Obs.Counter("server_batch_item_errors_total"),
+		liveRejects:     cfg.Obs.Counter(obs.Labels("ingest_rejects_total", "reason", "live_limit")),
 		slow:            newSlowRing(slowRingSize),
 		started:         time.Now(),
 	}

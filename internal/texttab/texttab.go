@@ -116,38 +116,5 @@ func Bar(value, max float64, width int) string {
 	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
 }
 
-// BarChart renders labeled series as grouped horizontal bars, one group
-// per label. Values are percentages (0..100).
-func BarChart(labels []string, series map[string][]float64, order []string) string {
-	var sb strings.Builder
-	lw := 0
-	for _, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-	}
-	sw := 0
-	for _, s := range order {
-		if len(s) > sw {
-			sw = len(s)
-		}
-	}
-	for i, l := range labels {
-		for j, s := range order {
-			lab := ""
-			if j == 0 {
-				lab = l
-			}
-			v := series[s][i]
-			fmt.Fprintf(&sb, "%-*s  %-*s %s %5.1f\n", lw, lab, sw, s,
-				Bar(v, 100, 40), v)
-		}
-		if i < len(labels)-1 {
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
-}
-
 // Pct formats a 0..1 score as a percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

@@ -44,18 +44,6 @@ func TestBar(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	s := BarChart([]string{"progA", "progB"},
-		map[string][]float64{"x": {50, 100}, "y": {25, 0}},
-		[]string{"x", "y"})
-	if !strings.Contains(s, "progA") || !strings.Contains(s, "100.0") {
-		t.Errorf("chart:\n%s", s)
-	}
-	if strings.Count(s, "\n") < 4 {
-		t.Errorf("chart too short:\n%s", s)
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(0.876); got != "87.6%" {
 		t.Errorf("Pct = %q", got)

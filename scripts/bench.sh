@@ -16,7 +16,9 @@
 #
 #   scripts/bench.sh                  # smoke run (-benchtime 1x)
 #   BENCH_TIME=2s scripts/bench.sh    # steadier numbers
-#   BENCH_COUNT=6 scripts/bench.sh    # multi-sample (for benchdiff)
+#   BENCH_COUNT=6 scripts/bench.sh    # multi-sample: the JSON keeps each
+#                                     # metric's median, _min and _max; the
+#                                     # .bench stream every sample (benchdiff)
 #   BENCH_OUT=- scripts/bench.sh      # interp JSON to stdout
 set -eu
 cd "$(dirname "$0")/.."
@@ -46,24 +48,65 @@ bench_family() {
 		rm -f "$raw"
 		exit 1
 	fi
+	# One entry per benchmark, in first-seen order. Its metrics are the
+	# medians of its samples (the mean of the middle two for an even
+	# count, as cmd/benchdiff takes them); with more than one sample,
+	# each metric also gets <metric>_min and <metric>_max. A single
+	# sample is copied through as printed.
 	json=$(awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" '
-	BEGIN {
-		printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [", date, gover
-		n = 0
+	# sorted(samples, c, s) copies samples[1..c] into s in numeric order.
+	function sorted(samples, c, s,    i, j, v) {
+		for (i = 1; i <= c; i++) {
+			v = samples[i]
+			for (j = i - 1; j >= 1 && s[j] + 0 > v + 0; j--)
+				s[j + 1] = s[j]
+			s[j + 1] = v
+		}
+	}
+	function median(s, c) {
+		if (c % 2) return s[(c + 1) / 2]
+		return sprintf("%.10g", (s[c / 2] + s[c / 2 + 1]) / 2)
 	}
 	/^Benchmark/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
-		if (n++) printf ","
-		printf "\n    {\"name\": \"%s\", \"iters\": %s, \"metrics\": {", name, $2
-		m = 0
-		for (i = 3; i < NF; i += 2) {
-			if (m++) printf ", "
-			printf "\"%s\": %s", $(i + 1), $i
+		if (!(name in runs)) {
+			order[++n] = name
+			runs[name] = 0
+			for (i = 3; i < NF; i += 2)
+				unit[name, ++units[name]] = $(i + 1)
 		}
-		printf "}}"
+		k = ++runs[name]
+		iters[name, k] = $2
+		for (i = 3; i < NF; i += 2)
+			val[name, $(i + 1), k] = $i
 	}
-	END { printf "\n  ]\n}\n" }' "$raw")
+	END {
+		printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [", date, gover
+		for (e = 1; e <= n; e++) {
+			name = order[e]
+			c = runs[name]
+			split("", samples)
+			for (k = 1; k <= c; k++)
+				samples[k] = iters[name, k]
+			split("", s)
+			sorted(samples, c, s)
+			if (e > 1) printf ","
+			printf "\n    {\"name\": \"%s\", \"iters\": %s, \"metrics\": {", name, median(s, c)
+			for (m = 1; m <= units[name]; m++) {
+				u = unit[name, m]
+				for (k = 1; k <= c; k++)
+					samples[k] = val[name, u, k]
+				split("", s)
+				sorted(samples, c, s)
+				if (m > 1) printf ", "
+				printf "\"%s\": %s", u, median(s, c)
+				if (c > 1) printf ", \"%s_min\": %s, \"%s_max\": %s", u, s[1], u, s[c]
+			}
+			printf "}}"
+		}
+		printf "\n  ]\n}\n"
+	}' "$raw")
 	# Belt and braces on top of the raw-stream grep: never let a snapshot
 	# with zero benchmark entries masquerade as a healthy trajectory point
 	# (a bad filter or a parse regression would otherwise silently write

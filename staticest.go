@@ -20,7 +20,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 
 	"staticest/internal/callgraph"
 	"staticest/internal/cfg"
@@ -58,12 +57,6 @@ var NewObserver = obs.New
 
 // ObserverOption configures NewObserver.
 type ObserverOption = obs.Option
-
-// WithJSONLTrace routes the observer's structured events (span
-// completions, flushed counters and gauges) to w as JSON lines.
-func WithJSONLTrace(w io.Writer) ObserverOption {
-	return obs.WithSink(obs.NewJSONLSink(w))
-}
 
 // Compile parses, analyzes, and builds graphs for a C source file.
 func Compile(name string, src []byte) (*Unit, error) {
