@@ -10,6 +10,9 @@
 //   - allocs/op: any median increase beyond two allocations fails (the
 //     slack absorbs one-off samples shifted by background GC timing;
 //     real alloc regressions move in much larger steps).
+//   - B/op: a median increase of more than 10% and more than 1 KiB
+//     fails. The allocation count alone misses a single allocation that
+//     grows: an 8 MiB buffer and a 16 KiB one are one alloc each.
 //   - a benchmark present in the base output but missing from the head
 //     output fails — a silently narrowed filter must not pass the gate.
 //
@@ -136,6 +139,15 @@ func median(v []float64) float64 {
 // or two, and real regressions move in far larger steps.
 const allocSlack = 2.0
 
+// A median B/op increase fails only past both bytesThreshold (relative)
+// and bytesSlack (absolute): the first keeps the gate quiet on large
+// allocations that vary a little between samples, the second on small
+// benchmarks where a few bytes are a large fraction.
+const (
+	bytesThreshold = 0.10
+	bytesSlack     = 1024.0
+)
+
 // diff prints the comparison table and returns the regression count.
 func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
 	names := make([]string, 0, len(base))
@@ -153,7 +165,7 @@ func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
 			continue
 		}
 		b := base[n]
-		for _, unit := range []string{"ns/op", "allocs/op"} {
+		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
 			bv, hv := b[unit], h[unit]
 			if len(bv) == 0 || len(hv) == 0 {
 				continue
@@ -168,6 +180,11 @@ func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
 			case "ns/op":
 				if hm > bm*(1+nsThreshold) {
 					verdict = "  FAIL (>+" + strconv.FormatFloat(nsThreshold*100, 'f', -1, 64) + "%)"
+					regressions++
+				}
+			case "B/op":
+				if hm > bm*(1+bytesThreshold) && hm > bm+bytesSlack {
+					verdict = fmt.Sprintf("  FAIL (B/op >+%g%% and >+%g B)", bytesThreshold*100, bytesSlack)
 					regressions++
 				}
 			case "allocs/op":

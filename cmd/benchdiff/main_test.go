@@ -85,6 +85,48 @@ func TestDiffGates(t *testing.T) {
 	}
 }
 
+// TestBytesGate checks the B/op gate on bench files: a median rise
+// fails only when it is both more than 10% and more than 1 KiB.
+func TestBytesGate(t *testing.T) {
+	base, err := parseFile(writeBench(t, "base.bench", `
+BenchmarkSmallRise-2     10  100 ns/op     1000000 B/op  5 allocs/op
+BenchmarkLargeRise-2     10  100 ns/op     1000000 B/op  5 allocs/op
+BenchmarkTinyBench-2     10  100 ns/op         100 B/op  1 allocs/op
+BenchmarkTinyGrows-2     10  100 ns/op         100 B/op  1 allocs/op
+BenchmarkShrinks-2       10  100 ns/op     8473318 B/op  5 allocs/op
+BenchmarkOutlier-2       10  100 ns/op     1000000 B/op  5 allocs/op
+BenchmarkNoBytes-2       10  100 ns/op  5 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := parseFile(writeBench(t, "head.bench", `
+BenchmarkSmallRise-2     10  100 ns/op     1050000 B/op  5 allocs/op
+BenchmarkLargeRise-2     10  100 ns/op     1200000 B/op  5 allocs/op
+BenchmarkTinyBench-2     10  100 ns/op        1000 B/op  1 allocs/op
+BenchmarkTinyGrows-2     10  100 ns/op        2000 B/op  1 allocs/op
+BenchmarkShrinks-2       10  100 ns/op      300000 B/op  5 allocs/op
+BenchmarkOutlier-2       10  100 ns/op     1000000 B/op  5 allocs/op
+BenchmarkOutlier-2       10  100 ns/op     9000000 B/op  5 allocs/op
+BenchmarkOutlier-2       10  100 ns/op     1000000 B/op  5 allocs/op
+BenchmarkNoBytes-2       10  100 ns/op  5 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	// LargeRise (+20%, +200 kB) and TinyGrows (+1,900%, +1,900 B) fail;
+	// SmallRise (+5%), TinyBench (+900 B), Shrinks, and Outlier (whose
+	// median did not move) pass.
+	if got := diff(devnull, base, head, 0.15); got != 2 {
+		t.Errorf("diff regressions = %d, want 2 (LargeRise, TinyGrows)", got)
+	}
+}
+
 func TestParseFileRejectsEmpty(t *testing.T) {
 	if _, err := parseFile(writeBench(t, "empty.bench", "PASS\nok\tx\t1s\n")); err == nil {
 		t.Error("parseFile accepted output with no Benchmark lines")

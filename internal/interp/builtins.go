@@ -7,17 +7,22 @@ import (
 	"staticest/internal/ctypes"
 )
 
-// cString reads the NUL-terminated string at p (excluding the NUL).
+// cString reads the NUL-terminated string at p (excluding the NUL). A
+// string that reaches the end of the stack's backing array grows it, as
+// a checked access does.
 func (m *Machine) cString(p uint64) []byte {
 	if p == 0 {
 		m.fail("null string pointer")
 	}
 	s := m.seg(ptrSeg(p))
-	off := ptrOff(p)
-	if off < 0 || off > int64(len(s.data)) {
+	off, size := ptrOff(p), s.size()
+	if off < 0 || off > size {
 		m.fail("string pointer out of bounds")
 	}
-	for i := off; i < int64(len(s.data)); i++ {
+	for i := off; i < size; i++ {
+		if i >= int64(len(s.data)) {
+			m.growStack(i + 1)
+		}
 		if s.data[i] == 0 {
 			return s.data[off:i]
 		}
@@ -208,10 +213,7 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 		return retP(pv(0), voidPtr)
 	case "memcpy", "memmove":
 		need(3)
-		n := iv(2)
-		dst := m.checkedSlice(pv(0), n)
-		src := m.checkedSlice(pv(1), n)
-		copy(dst, src) // Go copy handles overlap front-to-back; acceptable here
+		m.copyMem(pv(0), pv(1), iv(2))
 		return retP(pv(0), voidPtr)
 	case "memcmp":
 		need(3)

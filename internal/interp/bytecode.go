@@ -5,6 +5,7 @@ import (
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
 	"staticest/internal/ctypes"
+	"staticest/internal/obs"
 	"staticest/internal/probes"
 )
 
@@ -18,8 +19,8 @@ type loweredCache struct {
 }
 
 // lowered returns the cached bytecode module for (p, plan), compiling
-// it on first use.
-func lowered(p *cfg.Program, plan *probes.Plan) (*bc.Module, error) {
+// it on first use under a "bc.compile" child of sp.
+func lowered(p *cfg.Program, plan *probes.Plan, sp *obs.Span) (*bc.Module, error) {
 	p.LoweredMu.Lock()
 	defer p.LoweredMu.Unlock()
 	c, _ := p.Lowered.(*loweredCache)
@@ -34,6 +35,8 @@ func lowered(p *cfg.Program, plan *probes.Plan) (*bc.Module, error) {
 	if mod != nil {
 		return mod, nil
 	}
+	csp := sp.Child("bc.compile")
+	defer csp.End()
 	mod, err := bc.Compile(p, plan)
 	if err != nil {
 		return nil, err
@@ -92,17 +95,8 @@ func (m *Machine) bcCall(fnIdx, nargs int) {
 	if m.depth > 100_000 {
 		m.fail("call depth exceeded (runaway recursion in %s)", fd.Name())
 	}
-	base := (m.sp + 15) &^ 15
-	if base+fd.FrameSize > stackSize {
-		m.fail("simulated stack overflow in %s", fd.Name())
-	}
 	savedSP := m.sp
-	m.sp = base + fd.FrameSize
-	frBase := encodePtr(m.stackSeg, base)
-	frameBytes := m.seg(m.stackSeg).data[base : base+fd.FrameSize]
-	for i := range frameBytes {
-		frameBytes[i] = 0
-	}
+	frBase := encodePtr(m.stackSeg, m.pushFrame(fd))
 	argBase := m.vsp - nargs
 	for i, p := range fd.Params {
 		if i < nargs {

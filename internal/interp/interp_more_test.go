@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"staticest/internal/interp"
+	"staticest/internal/obs"
+	"staticest/internal/probes"
 )
 
 func TestLinkedListManipulation(t *testing.T) {
@@ -289,5 +291,49 @@ int main(void) {
 }`)
 	if !strings.HasPrefix(out, "1 4 111") {
 		t.Errorf("output %q", out)
+	}
+}
+
+// TestFirstLoweringSpan checks that a run which lowers its program to
+// bytecode times the lowering as a bc.compile child of its interp.run
+// span, and that a later run, which reuses the lowering, does not. A
+// probe plan gets its own lowering, so its first sparse run lowers
+// again.
+func TestFirstLoweringSpan(t *testing.T) {
+	cp := compile(t, `int main(void) { int i; int s; s = 0; for (i = 0; i < 3; i++) s += i; return s; }`)
+	plan := probes.BuildPlan(cp, nil)
+	for _, tc := range []struct {
+		name     string
+		opts     interp.Options
+		compiles int
+	}{
+		{"first full", interp.Options{}, 1},
+		{"second full", interp.Options{}, 0},
+		{"first sparse", interp.Options{Instrumentation: interp.SparseInstrumentation, Plan: plan}, 1},
+		{"second sparse", interp.Options{Instrumentation: interp.SparseInstrumentation, Plan: plan}, 0},
+	} {
+		sink := &spanSink{}
+		tc.opts.Obs = obs.New(obs.WithSink(sink))
+		if _, err := interp.Run(cp, tc.opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var runID int64
+		var parents []int64
+		for _, e := range sink.events {
+			switch e.Name {
+			case "interp.run":
+				runID = e.ID
+			case "bc.compile":
+				parents = append(parents, e.Parent)
+			}
+		}
+		if len(parents) != tc.compiles {
+			t.Errorf("%s: %d bc.compile spans, want %d", tc.name, len(parents), tc.compiles)
+		}
+		for _, p := range parents {
+			if p != runID {
+				t.Errorf("%s: bc.compile parent %d, want the interp.run span %d", tc.name, p, runID)
+			}
+		}
 	}
 }

@@ -354,6 +354,9 @@ func TestRuntimeErrors(t *testing.T) {
 		// The factors multiply to 2^64, which wraps to 0: each one is
 		// bounded before the product is taken.
 		{"calloc overflow", `int main(void){ char *p = (char*)calloc(4611686018427387904L, 4); p[0] = 1; return 0; }`, "calloc"},
+		// off+size would wrap past 2^63.
+		{"huge length", `int main(void){ char c; char *p = &c; memset(p + 16, 0, 9223372036854775807L); return 0; }`,
+			"out-of-bounds access: offset 16 size 9223372036854775807"},
 		{"step budget", `int main(void){ for(;;); return 0; }`, "step budget"},
 		{"deep recursion", `int f(int n){ return f(n+1); } int main(void){ return f(0); }`, ""},
 	}

@@ -31,7 +31,8 @@ const (
 	offMask   = (1 << offBits) - 1
 	fnPtrTag  = uint64(1) << 62
 	maxSegID  = 1<<22 - 1
-	stackSize = 1 << 23 // 8 MiB simulated stack
+	stackSize = 1 << 23 // 8 MiB simulated stack, as the program sees it
+	stackInit = 16 << 10
 )
 
 func encodePtr(seg uint64, off int64) uint64 { return seg<<offBits | uint64(off)&offMask }
@@ -55,6 +56,16 @@ type segment struct {
 	kind  segKind
 	freed bool
 	name  string
+}
+
+// size is the segment's length as the program sees it. Only the stack's
+// backing array can be shorter (see growStack); its bytes past the array
+// are untouched and read as zero.
+func (s *segment) size() int64 {
+	if s.kind == segStack {
+		return stackSize
+	}
+	return int64(len(s.data))
 }
 
 // RuntimeError is a C-level runtime fault (null dereference, out of
@@ -172,6 +183,7 @@ type Machine struct {
 
 	segs      []*segment // segment ID = index + 1
 	stackSeg  uint64
+	stack     *segment // the stack segment, segs[stackSeg-1]
 	sp        int64
 	globalSeg []uint64 // by GlobalIndex
 	strSeg    []uint64 // by StrLit.DataIndex
@@ -231,8 +243,8 @@ type Machine struct {
 // an error; the frontend's ctypes.MaxObjectSize bound keeps every
 // program it accepts within the lowering's 32-bit operands.
 func Run(p *cfg.Program, opts Options) (*Result, error) {
-	return run(p, opts, func(m *Machine) (int, error) {
-		mod, err := lowered(p, m.plan)
+	return run(p, opts, func(m *Machine, sp *obs.Span) (int, error) {
+		mod, err := lowered(p, m.plan, sp)
 		if err != nil {
 			return 0, err
 		}
@@ -246,14 +258,15 @@ func Run(p *cfg.Program, opts Options) (*Result, error) {
 // vector, memory trace, error text — are identical to Run's. Only tests
 // and the internal/check oracles call it; production paths call Run.
 func RunReference(p *cfg.Program, opts Options) (*Result, error) {
-	return run(p, opts, func(m *Machine) (int, error) {
+	return run(p, opts, func(m *Machine, _ *obs.Span) (int, error) {
 		return m.callMain(opts.Args), nil
 	})
 }
 
 // run sets up a machine for p, evaluates the global initializers, and
-// calls main through exec, which returns the exit code.
-func run(p *cfg.Program, opts Options, exec func(*Machine) (int, error)) (res *Result, err error) {
+// calls main through exec, which returns the exit code; sp is the run's
+// span.
+func run(p *cfg.Program, opts Options, exec func(m *Machine, sp *obs.Span) (int, error)) (res *Result, err error) {
 	if opts.Instrumentation == SparseInstrumentation {
 		if opts.Plan == nil {
 			return nil, fmt.Errorf("interp: sparse instrumentation requires a probe plan")
@@ -285,7 +298,7 @@ func run(p *cfg.Program, opts Options, exec func(*Machine) (int, error)) (res *R
 	// they execute outside any function (no counters, no frame), so the
 	// runs stay byte-identical.
 	m.initGlobals()
-	code, err := exec(m)
+	code, err := exec(m, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -342,6 +355,7 @@ func (m *Machine) finishObs(sp *obs.Span) {
 		m.o.Counter("interp_step_budget_exhausted_total").Add(1)
 	}
 	sp.SetAttr("steps", m.steps)
+	sp.SetAttr("stack_bytes", int64(len(m.stack.data)))
 }
 
 func newMachine(p *cfg.Program, opts Options) *Machine {
@@ -388,8 +402,10 @@ func newMachine(p *cfg.Program, opts Options) *Machine {
 			m.factor[i] = f
 		}
 	}
-	// Segment 1: the stack.
-	m.stackSeg = m.newSegment(make([]byte, stackSize), segStack, "stack")
+	// Segment 1: the stack, backed by stackInit bytes until a frame or an
+	// access reaches past them.
+	m.stackSeg = m.newSegment(make([]byte, stackInit), segStack, "stack")
+	m.stack = m.segs[m.stackSeg-1]
 	// Globals, one segment each.
 	m.globalSeg = make([]uint64, len(sp.Globals))
 	for i, g := range sp.Globals {
@@ -460,7 +476,8 @@ func (m *Machine) checkpoint() {
 }
 
 // checkedSlice returns the byte window [off, off+size) of the pointed-to
-// segment, with bounds checking.
+// segment, with bounds checking. The checks compare size against the
+// bytes left after off, so a size near 2^63 cannot wrap off+size.
 func (m *Machine) checkedSlice(p uint64, size int64) []byte {
 	if p == 0 {
 		m.fail("null pointer dereference")
@@ -470,11 +487,36 @@ func (m *Machine) checkedSlice(p uint64, size int64) []byte {
 	}
 	s := m.seg(ptrSeg(p))
 	off := ptrOff(p)
-	if off < 0 || size < 0 || off+size > int64(len(s.data)) {
-		m.fail("out-of-bounds access: offset %d size %d in %q (%d bytes)",
-			off, size, s.name, len(s.data))
+	if off < 0 || size < 0 || size > int64(len(s.data))-off {
+		m.reach(s, off, size)
 	}
 	return s.data[off : off+size]
+}
+
+// reach is checkedSlice's slow path: an access past the stack's backing
+// array grows it, and an access outside its segment fails.
+func (m *Machine) reach(s *segment, off, size int64) {
+	if off < 0 || size < 0 || size > s.size()-off {
+		m.fail("out-of-bounds access: offset %d size %d in %q (%d bytes)",
+			off, size, s.name, s.size())
+	}
+	m.growStack(off + size)
+}
+
+// growStack doubles the stack's backing array until it holds end bytes
+// (end <= stackSize), so the array never exceeds the greater of
+// stackInit and twice the deepest offset touched. The array is
+// replaced, not extended in place: a slice of the stack taken before a
+// growth no longer aliases it, so a slice that is written must be taken
+// after every access that can grow the stack (see copyMem).
+func (m *Machine) growStack(end int64) {
+	n := int64(len(m.stack.data))
+	for n < end {
+		n *= 2
+	}
+	data := make([]byte, n)
+	copy(data, m.stack.data)
+	m.stack.data = data
 }
 
 // traceAccess appends one memory access when e is a mapped reference
@@ -561,13 +603,19 @@ func (m *Machine) store(p uint64, t *ctypes.Type, v value) {
 		b := m.checkedSlice(p, 8)
 		binary.LittleEndian.PutUint64(b, float64Bits(v.f))
 	case ctypes.Struct:
-		size := t.Size()
-		dst := m.checkedSlice(p, size)
-		src := m.checkedSlice(uint64(v.i), size)
-		copy(dst, src)
+		m.copyMem(p, uint64(v.i), t.Size())
 	default:
 		m.storeInt(p, t, v.i)
 	}
+}
+
+// copyMem copies n bytes from src to dst. dst is checked first, so its
+// fault is the one reported, but its slice is taken last: checking src
+// can grow the stack (see growStack). Go's copy handles overlap.
+func (m *Machine) copyMem(dst, src uint64, n int64) {
+	m.checkedSlice(dst, n)
+	from := m.checkedSlice(src, n)
+	copy(m.checkedSlice(dst, n), from)
 }
 
 // --- globals ----------------------------------------------------------------
@@ -683,20 +731,8 @@ func (m *Machine) callFunc(fnIdx int, args []value) value {
 	if m.depth > 100_000 {
 		m.fail("call depth exceeded (runaway recursion in %s)", fd.Name())
 	}
-	// Allocate the frame on the simulated stack.
-	base := (m.sp + 15) &^ 15
-	if base+fd.FrameSize > stackSize {
-		m.fail("simulated stack overflow in %s", fd.Name())
-	}
 	savedSP := m.sp
-	m.sp = base + fd.FrameSize
-	fr := &frame{fn: fd, base: encodePtr(m.stackSeg, base)}
-	// Zero the frame (C doesn't, but deterministic garbage aids tests;
-	// programs in the suite do not rely on uninitialized reads).
-	frameBytes := m.seg(m.stackSeg).data[base : base+fd.FrameSize]
-	for i := range frameBytes {
-		frameBytes[i] = 0
-	}
+	fr := &frame{fn: fd, base: encodePtr(m.stackSeg, m.pushFrame(fd))}
 	// Bind parameters.
 	for i, p := range fd.Params {
 		if i < len(args) {
@@ -716,6 +752,25 @@ func (m *Machine) callFunc(fnIdx int, args []value) value {
 		return value{typ: ctypes.VoidType}
 	}
 	return convert(m, ret, retT)
+}
+
+// pushFrame places fd's frame at the next 16-byte boundary of the
+// simulated stack, growing the stack's backing array to hold it, zeroes
+// it, and returns its offset. The caller restores m.sp on return.
+func (m *Machine) pushFrame(fd *cast.FuncDecl) int64 {
+	base := (m.sp + 15) &^ 15
+	end := base + fd.FrameSize
+	if end > stackSize {
+		m.fail("simulated stack overflow in %s", fd.Name())
+	}
+	m.sp = end
+	if end > int64(len(m.stack.data)) {
+		m.growStack(end)
+	}
+	// Zero the frame (C doesn't, but deterministic garbage aids tests;
+	// programs in the suite do not rely on uninitialized reads).
+	clear(m.stack.data[base:end])
+	return base
 }
 
 // execute runs the function's CFG and returns the raw return value.

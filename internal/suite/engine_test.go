@@ -2,6 +2,7 @@ package suite_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -38,7 +39,21 @@ func runBoth(t *testing.T, u *staticest.Unit, label string, opts staticest.RunOp
 // the tree-walking evaluator's observable behaviour exactly — full
 // profiles, sparse probe vectors with exit() escape lists, and memory
 // traces included.
+//
+// The runs share the suite's programs, which are built once per
+// process, so when they are done the suite must still equal a freshly
+// built one: no run writes a program's source or inputs.
 func TestEngineDifferential(t *testing.T) {
+	t.Cleanup(func() {
+		fresh := []*suite.Program{
+			suite.Alvinn(), suite.Compress(), suite.Ear(), suite.Eqntott(), suite.Espresso(),
+			suite.GCC(), suite.SC(), suite.Xlisp(), suite.Awk(), suite.Bison(),
+			suite.Cholesky(), suite.GS(), suite.MPEG(), suite.Water(),
+		}
+		if !reflect.DeepEqual(suite.Programs(), fresh) {
+			t.Error("the shared suite differs from a freshly built one after every input ran")
+		}
+	})
 	for _, p := range suite.Programs() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {

@@ -9,6 +9,7 @@ package suite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -50,8 +51,15 @@ func (p *Program) Compile() (*staticest.Unit, error) {
 	return staticest.Compile(p.Name+".c", []byte(p.Source))
 }
 
-// Programs returns the full suite in the paper's Table 1 order.
+// Programs returns the full suite in the paper's Table 1 order: a fresh
+// slice of programs that every caller shares, so no caller may write a
+// Program or its Inputs.
 func Programs() []*Program {
+	return slices.Clone(programs())
+}
+
+// programs builds the suite, and generates its inputs, once per process.
+var programs = sync.OnceValue(func() []*Program {
 	return []*Program{
 		Alvinn(),
 		Compress(),
@@ -68,15 +76,18 @@ func Programs() []*Program {
 		MPEG(),
 		Water(),
 	}
-}
+})
 
-// ByName returns the named program or an error listing valid names.
+// ByName returns the named program, shared as Programs' are, or an
+// error listing valid names.
 func ByName(name string) (*Program, error) {
-	var names []string
-	for _, p := range Programs() {
+	for _, p := range programs() {
 		if p.Name == name {
 			return p, nil
 		}
+	}
+	var names []string
+	for _, p := range programs() {
 		names = append(names, p.Name)
 	}
 	return nil, fmt.Errorf("unknown program %q (have %s)", name, strings.Join(names, ", "))

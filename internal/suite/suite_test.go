@@ -109,6 +109,10 @@ func TestByName(t *testing.T) {
 	if err != nil || p.Name != "compress" {
 		t.Fatalf("ByName(compress) = %v, %v", p, err)
 	}
+	// The suite is built once: every caller shares its programs.
+	if again, _ := ByName("compress"); again != p {
+		t.Errorf("ByName(compress) returned %p, then %p", p, again)
+	}
 	if _, err := ByName("nope"); err == nil ||
 		!strings.Contains(err.Error(), "unknown program") {
 		t.Errorf("ByName(nope) error = %v", err)
