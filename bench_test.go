@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"staticest"
+	"staticest/internal/bc"
 	"staticest/internal/callgraph"
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
@@ -465,16 +466,55 @@ func BenchmarkInterpretCompress(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := prog.Inputs[0]
+	opts := staticest.RunOptions{Args: in.Args, Stdin: in.Stdin}
 	b.ReportAllocs()
-	var steps int64
+	warm(b, func() error { _, err := u.Run(opts); return err })
+	var res *staticest.RunResult
 	for i := 0; i < b.N; i++ {
-		res, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin})
-		if err != nil {
+		if res, err = u.Run(opts); err != nil {
 			b.Fatal(err)
 		}
-		steps = res.Steps
 	}
-	b.ReportMetric(float64(steps), "blocks/run")
+	b.ReportMetric(float64(res.Steps), "blocks/run")
+	b.ReportMetric(instrsPerRun(b, u, res.Profile.BlockCounts), "instrs/run")
+}
+
+// warm runs op once before a benchmark's timed loop and collects: a
+// unit's first run lowers it to bytecode, and a benchmark that follows
+// another would otherwise start against the heap the other one grew.
+func warm(b *testing.B, op func() error) {
+	b.Helper()
+	if err := op(); err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ResetTimer()
+}
+
+// instrsPerRun is the bytecode work of a full-instrumentation run with
+// block counts counts: each instruction of u's full lowering, times the
+// count of the block it belongs to (the one whose OpBlockFull last
+// precedes it). It is a linear function of the block counters, so it
+// is exact, and it is taken after the loop with the timer stopped, so
+// it adds nothing to the time or the allocations measured.
+func instrsPerRun(b *testing.B, u *staticest.Unit, counts [][]float64) float64 {
+	b.Helper()
+	b.StopTimer()
+	mod, err := bc.Compile(u.CFG, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n float64
+	for fi := range mod.Funcs {
+		blockCount := 0.0
+		for _, in := range mod.Funcs[fi].Code {
+			if in.Op == bc.OpBlockFull {
+				blockCount = counts[fi][in.A]
+			}
+			n += blockCount
+		}
+	}
+	return n
 }
 
 // BenchmarkReuseTrace/on measures the memory-trace overhead on
@@ -494,10 +534,12 @@ func BenchmarkReuseTrace(b *testing.B) {
 	in := prog.Inputs[0]
 	b.Run("on", func(b *testing.B) {
 		tab := u.ReuseTable()
+		opts := staticest.RunOptions{Args: in.Args, Stdin: in.Stdin}
 		b.ReportAllocs()
+		warm(b, func() error { _, _, err := u.MeasureReuse(tab, opts); return err })
 		var accesses float64
 		for i := 0; i < b.N; i++ {
-			p, _, err := u.MeasureReuse(tab, staticest.RunOptions{Args: in.Args, Stdin: in.Stdin})
+			p, _, err := u.MeasureReuse(tab, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -524,50 +566,37 @@ func BenchmarkProbeProfiling(b *testing.B) {
 	in := prog.Inputs[0]
 	plan := u.PlanProbes()
 
-	// The two modes run back to back in one process; without a warm-up
-	// and a collection the second mode starts against the heap the first
-	// one grew, which skews the comparison by several percent.
-	warm := func(b *testing.B, opts staticest.RunOptions) {
-		b.Helper()
-		if _, err := u.Run(opts); err != nil {
-			b.Fatal(err)
-		}
-		runtime.GC()
-		b.ResetTimer()
-	}
-
 	b.Run("full", func(b *testing.B) {
+		opts := staticest.RunOptions{Args: in.Args, Stdin: in.Stdin}
 		b.ReportAllocs()
-		warm(b, staticest.RunOptions{Args: in.Args, Stdin: in.Stdin})
-		var incs float64
+		warm(b, func() error { _, err := u.Run(opts); return err })
+		var res *staticest.RunResult
+		var err error
 		for i := 0; i < b.N; i++ {
-			res, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin})
-			if err != nil {
+			if res, err = u.Run(opts); err != nil {
 				b.Fatal(err)
 			}
-			p := res.Profile
-			incs = p.TotalBlockCount() + sum(p.FuncCalls) + sum(p.CallSiteCounts) +
-				sum(p.BranchTaken) + sum(p.BranchNot)
-			for _, arms := range p.SwitchArm {
-				incs += sum(arms)
-			}
+		}
+		p := res.Profile
+		incs := p.TotalBlockCount() + sum(p.FuncCalls) + sum(p.CallSiteCounts) +
+			sum(p.BranchTaken) + sum(p.BranchNot)
+		for _, arms := range p.SwitchArm {
+			incs += sum(arms)
 		}
 		b.ReportMetric(incs, "increments/run")
+		b.ReportMetric(instrsPerRun(b, u, p.BlockCounts), "instrs/run")
 	})
 	b.Run("sparse", func(b *testing.B) {
-		b.ReportAllocs()
-		warm(b, staticest.RunOptions{
+		opts := staticest.RunOptions{
 			Args: in.Args, Stdin: in.Stdin,
 			Instrumentation: staticest.SparseInstrumentation,
 			Plan:            plan,
-		})
+		}
+		b.ReportAllocs()
+		warm(b, func() error { _, err := u.Run(opts); return err })
 		var incs float64
 		for i := 0; i < b.N; i++ {
-			res, err := u.Run(staticest.RunOptions{
-				Args: in.Args, Stdin: in.Stdin,
-				Instrumentation: staticest.SparseInstrumentation,
-				Plan:            plan,
-			})
+			res, err := u.Run(opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -595,9 +624,11 @@ func BenchmarkObsEnabled(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := prog.Inputs[0]
+	opts := staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, Obs: o}
 	b.ReportAllocs()
+	warm(b, func() error { _, err := u.Run(opts); return err })
 	for i := 0; i < b.N; i++ {
-		if _, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, Obs: o}); err != nil {
+		if _, err := u.Run(opts); err != nil {
 			b.Fatal(err)
 		}
 	}

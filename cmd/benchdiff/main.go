@@ -13,8 +13,12 @@
 //   - B/op: a median increase of more than 10% and more than 1 KiB
 //     fails. The allocation count alone misses a single allocation that
 //     grows: an 8 MiB buffer and a 16 KiB one are one alloc each.
+//   - */run (blocks/run, increments/run, accesses/run, instrs/run):
+//     exact counts of one run's work, so any rise of the median fails,
+//     with no tolerance. A count the base does not report is not gated.
 //   - a benchmark present in the base output but missing from the head
-//     output fails — a silently narrowed filter must not pass the gate.
+//     output fails, and so does a */run count the base reports and the
+//     head does not — a silently narrowed filter must not pass the gate.
 //
 // Usage:
 //
@@ -148,6 +152,11 @@ const (
 	bytesSlack     = 1024.0
 )
 
+// countSuffix ends the unit of an exact per-run count: the benchmark's
+// work in one run, which repeats exactly from run to run, so any rise
+// of its median is a regression.
+const countSuffix = "/run"
+
 // diff prints the comparison table and returns the regression count.
 func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
 	names := make([]string, 0, len(base))
@@ -165,8 +174,21 @@ func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
 			continue
 		}
 		b := base[n]
-		for _, unit := range []string{"ns/op", "B/op", "allocs/op"} {
+		units := []string{"ns/op", "B/op", "allocs/op"}
+		var counts []string
+		for unit := range b {
+			if strings.HasSuffix(unit, countSuffix) {
+				counts = append(counts, unit)
+			}
+		}
+		sort.Strings(counts)
+		for _, unit := range append(units, counts...) {
 			bv, hv := b[unit], h[unit]
+			if len(bv) != 0 && len(hv) == 0 && strings.HasSuffix(unit, countSuffix) {
+				fmt.Fprintf(w, "%-44s missing from head output: FAIL\n", n+" "+unit)
+				regressions++
+				continue
+			}
 			if len(bv) == 0 || len(hv) == 0 {
 				continue
 			}
@@ -190,6 +212,11 @@ func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
 			case "allocs/op":
 				if hm > bm+allocSlack {
 					verdict = "  FAIL (allocs/op increased)"
+					regressions++
+				}
+			default: // a count
+				if hm > bm {
+					verdict = "  FAIL (count increased)"
 					regressions++
 				}
 			}

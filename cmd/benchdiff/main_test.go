@@ -132,3 +132,46 @@ func TestParseFileRejectsEmpty(t *testing.T) {
 		t.Error("parseFile accepted output with no Benchmark lines")
 	}
 }
+
+// TestCountGate checks the */run gate on bench files: any rise of a
+// count's median fails, a count only the head reports is not gated, and
+// a count the head drops fails.
+func TestCountGate(t *testing.T) {
+	base, err := parseFile(writeBench(t, "base.bench", `
+BenchmarkRises-2     10  100 ns/op   1000 instrs/run   5 allocs/op
+BenchmarkFalls-2     10  100 ns/op   1000 instrs/run  200 blocks/run  5 allocs/op
+BenchmarkSame-2      10  100 ns/op   561028 increments/run  5 allocs/op
+BenchmarkOutlier-2   10  100 ns/op   29981 accesses/run  5 allocs/op
+BenchmarkNew-2       10  100 ns/op   107027 blocks/run  5 allocs/op
+BenchmarkDropped-2   10  100 ns/op   107027 blocks/run  5 allocs/op
+BenchmarkOther-2     10  100 ns/op   59.38 arc_reduction%  5 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := parseFile(writeBench(t, "head.bench", `
+BenchmarkRises-2     10  100 ns/op   1001 instrs/run   5 allocs/op
+BenchmarkFalls-2     10  100 ns/op    900 instrs/run  199 blocks/run  5 allocs/op
+BenchmarkSame-2      10  100 ns/op   561028 increments/run  5 allocs/op
+BenchmarkOutlier-2   10  100 ns/op   29981 accesses/run  5 allocs/op
+BenchmarkOutlier-2   10  100 ns/op   99999 accesses/run  5 allocs/op
+BenchmarkOutlier-2   10  100 ns/op   29981 accesses/run  5 allocs/op
+BenchmarkNew-2       10  100 ns/op   107027 blocks/run  999999 instrs/run  5 allocs/op
+BenchmarkDropped-2   10  100 ns/op   5 allocs/op
+BenchmarkOther-2     10  100 ns/op   10 arc_reduction%  5 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	// Rises (+1 instruction) and Dropped fail; Falls, Same, Outlier
+	// (whose median did not move), New (instrs/run is head-only) and
+	// Other (not a count) pass.
+	if got := diff(devnull, base, head, 0.15); got != 2 {
+		t.Errorf("diff regressions = %d, want 2 (Rises, Dropped)", got)
+	}
+}

@@ -124,12 +124,12 @@ const (
 
 	// --- arithmetic and conversions ---
 
-	OpBinop   // [l r] -> [binop(A, l, r)]; B=posIdx or -1
+	OpBinop   // [l r] -> [binop(A, l, r)]; B=posIdx or -1; W, Typ = usual-arithmetic type or Generic
 	OpNeg     // [v] -> [-v]; Typ=result type
 	OpBitNot  // [v] -> [^v]; Typ=result type
 	OpLogNot  // [v] -> [!v as int]
 	OpBool    // [v] -> [v != 0 as int]
-	OpConvert // [v] -> [convert(v, Typ)]
+	OpConvert // [v] -> [convert(v, Typ)]; not emitted when v already has type Typ
 	OpPostfix // [addr old] -> [old]; stores old+A (A=±1); Typ=lvalue type
 	OpPreInc  // [addr old] -> [new]; stores new=old+A (A=±1); Typ=lvalue type
 
@@ -143,11 +143,91 @@ const (
 
 // Instr is one bytecode instruction. Operand meaning is per-opcode (see
 // the Op constants); Typ carries the static C type the instruction
-// loads, stores, converts to, or produces.
+// loads, stores, converts to, or produces. W, in the padding after Op,
+// is that type resolved at lowering (see Width).
 type Instr struct {
 	Op      Op
+	W       Width
 	A, B, C int32
 	Typ     *ctypes.Type
+}
+
+// Width is a scalar C type as a typed instruction uses it: its byte
+// width, signedness, and whether it is floating. On loads and stores
+// (OpLoad*, OpStore*, OpPostfix, OpPreInc) it is the access; on OpBinop
+// it is the usual-arithmetic type of two arithmetic operands, which
+// Typ carries as a *ctypes.Type. Generic, the zero value, marks an
+// instruction whose types are decided at run time from its operands'
+// values: pointer arithmetic, struct copies, and whatever the lowering
+// cannot prove.
+type Width uint8
+
+// Widths.
+const (
+	Generic Width = iota
+	I8            // char
+	U8            // unsigned char
+	I16           // short
+	U16           // unsigned short
+	I32           // int
+	U32           // unsigned int
+	I64           // long
+	U64           // unsigned long, pointers
+	F32           // float
+	F64           // double
+)
+
+// widthOf resolves a scalar type; anything else is Generic.
+func widthOf(t *ctypes.Type) Width {
+	switch t.Kind {
+	case ctypes.Char:
+		return I8
+	case ctypes.UChar:
+		return U8
+	case ctypes.Short:
+		return I16
+	case ctypes.UShort:
+		return U16
+	case ctypes.Int:
+		return I32
+	case ctypes.UInt:
+		return U32
+	case ctypes.Long:
+		return I64
+	case ctypes.ULong, ctypes.Ptr:
+		return U64
+	case ctypes.Float:
+		return F32
+	case ctypes.Double:
+		return F64
+	}
+	return Generic
+}
+
+var widthSize = [...]int64{I8: 1, U8: 1, I16: 2, U16: 2, I32: 4, U32: 4, I64: 8, U64: 8, F32: 4, F64: 8}
+
+// Size is the access's byte count; 0 for Generic.
+func (w Width) Size() int64 { return widthSize[w] }
+
+// Trunc reduces v to an integer width and its signedness, as the
+// interpreter's truncInt does for the type; 64-bit and non-integer
+// widths leave v as it is.
+func (w Width) Trunc(v int64) int64 {
+	switch w {
+	case I8:
+		return int64(int8(v))
+	case U8:
+		return int64(uint8(v))
+	case I16:
+		return int64(int16(v))
+	case U16:
+		return int64(uint16(v))
+	case I32:
+		return int64(int32(v))
+	case U32:
+		return int64(uint32(v))
+	}
+	return v
 }
 
 // Const is a pooled literal value, pre-coerced to its C type at compile

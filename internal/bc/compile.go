@@ -20,7 +20,11 @@ import (
 // The compiler mirrors the tree walker's evaluation order exactly,
 // including the points where it sets the ambient error position, the
 // order of memory-trace appends, and the constructs it rejects at run
-// time (which lower to OpFail with the same message). A construct the
+// time (which lower to OpFail with the same message). It also resolves
+// what the static types decide: each scalar load and store carries its
+// Width, a binary operator on two arithmetic operands carries their
+// usual-arithmetic type, and a conversion of a value to the type it
+// already has is left out. A construct the
 // lowering cannot express — an offset or element size beyond the 32-bit
 // operands, which the frontend's ctypes.MaxObjectSize bound rules out —
 // returns an error, and interp.Run reports it.
@@ -31,7 +35,7 @@ func Compile(p *cfg.Program, plan *probes.Plan) (*Module, error) {
 		if plan != nil {
 			fp = &plan.Funcs[fi]
 		}
-		if err := compileFunc(&m.Funcs[fi], g, fp, plan); err != nil {
+		if err := compileFunc(&m.Funcs[fi], p.Sem.Funcs, g, fp, plan); err != nil {
 			return nil, fmt.Errorf("bc: %s: %w", g.Fn.Name(), err)
 		}
 	}
@@ -52,12 +56,18 @@ type switchFixup struct {
 }
 
 type compiler struct {
-	f    *Func
-	g    *cfg.Graph
-	fp   *probes.FuncPlan // nil under full instrumentation
-	plan *probes.Plan     // nil under full instrumentation
+	f     *Func
+	funcs []*cast.FuncDecl // the program's functions, by function index
+	g     *cfg.Graph
+	fp    *probes.FuncPlan // nil under full instrumentation
+	plan  *probes.Plan     // nil under full instrumentation
 
 	depth, maxDepth int
+	// pushed is the type of the value the last compiled expression left
+	// on the stack, exactly the pointer the executor's value will carry,
+	// or nil when the lowering cannot tell (a builtin's or an indirect
+	// call's result).
+	pushed *ctypes.Type
 
 	blockPC   []int32
 	fixups    []blockFixup
@@ -69,9 +79,9 @@ type compiler struct {
 	layoutErr error
 }
 
-func compileFunc(f *Func, g *cfg.Graph, fp *probes.FuncPlan, plan *probes.Plan) error {
+func compileFunc(f *Func, funcs []*cast.FuncDecl, g *cfg.Graph, fp *probes.FuncPlan, plan *probes.Plan) error {
 	c := &compiler{
-		f: f, g: g, fp: fp, plan: plan,
+		f: f, funcs: funcs, g: g, fp: fp, plan: plan,
 		blockPC:  make([]int32, len(g.Blocks)),
 		constIdx: make(map[Const]int32),
 		posIdx:   make(map[ctoken.Pos]int32),
@@ -155,7 +165,7 @@ func (c *compiler) constant(k Const) {
 }
 
 func (c *compiler) intConst(v int64, t *ctypes.Type) {
-	c.constant(Const{Typ: t, I: truncConst(v, t)})
+	c.constant(Const{Typ: t, I: widthOf(t).Trunc(v)})
 }
 
 func (c *compiler) expr(e cast.Expr) int32 {
@@ -372,8 +382,8 @@ func (c *compiler) localInit(off int64, t *ctypes.Type, in cast.Init) error {
 		if err := c.value(init.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpConvert, Typ: t}, 0)
-		c.emit(Instr{Op: OpStoreMem, Typ: t}, -2)
+		c.convert(t)
+		c.emit(Instr{Op: OpStoreMem, W: widthOf(t), Typ: t}, -2)
 	case *cast.ListInit:
 		switch t.Kind {
 		case ctypes.Array:
@@ -407,24 +417,29 @@ func (c *compiler) localInit(off int64, t *ctypes.Type, in cast.Init) error {
 
 // --- expressions ------------------------------------------------------------
 
-// value compiles e so its value is left on the stack.
+// value compiles e so its value is left on the stack, and c.pushed holds
+// its type.
 func (c *compiler) value(e cast.Expr) error { return c.compileExpr(e, false) }
 
 // effect compiles e for its side effects only.
 func (c *compiler) effect(e cast.Expr) error { return c.compileExpr(e, true) }
 
 func (c *compiler) compileExpr(e cast.Expr, drop bool) error {
+	var t *ctypes.Type // the type of the value left, when the lowering knows it
 	switch x := e.(type) {
 	case *cast.IntLit:
-		c.intConst(int64(x.Val), x.Type())
+		t = x.Type()
+		c.intConst(int64(x.Val), t)
 	case *cast.FloatLit:
+		t = x.Type()
 		f := x.Val
-		if x.Type().Kind == ctypes.Float {
+		if t.Kind == ctypes.Float {
 			f = float64(float32(f))
 		}
-		c.constant(Const{Typ: x.Type(), F: f})
+		c.constant(Const{Typ: t, F: f})
 	case *cast.StrLit:
-		c.emit(Instr{Op: OpStr, A: int32(x.DataIndex), Typ: ctypes.PointerTo(ctypes.CharType)}, +1)
+		t = ctypes.PointerTo(ctypes.CharType)
+		c.emit(Instr{Op: OpStr, A: int32(x.DataIndex), Typ: t}, +1)
 	case *cast.Ident:
 		obj := x.Obj
 		if obj.Kind == cast.ObjFunc {
@@ -432,16 +447,18 @@ func (c *compiler) compileExpr(e cast.Expr, drop bool) error {
 				c.failWith(fmt.Sprintf("cannot take the value of builtin %q", obj.Name), +1)
 				break
 			}
-			c.emit(Instr{Op: OpFnPtr, A: int32(obj.FuncIndex), Typ: ctypes.PointerTo(obj.Type)}, +1)
+			t = ctypes.PointerTo(obj.Type)
+			c.emit(Instr{Op: OpFnPtr, A: int32(obj.FuncIndex), Typ: t}, +1)
 			break
 		}
 		if obj.Global {
-			c.loadVar(OpLoadGlobal, OpAddrGlobal, int32(obj.GlobalIndex), obj.Type)
+			t = c.loadVar(OpLoadGlobal, OpAddrGlobal, int32(obj.GlobalIndex), obj.Type)
 		} else {
-			c.loadVar(OpLoadLocal, OpAddrLocal, c.narrow("local offset", obj.FrameOffset), obj.Type)
+			t = c.loadVar(OpLoadLocal, OpAddrLocal, c.narrow("local offset", obj.FrameOffset), obj.Type)
 		}
 	case *cast.Unary:
-		if err := c.unary(x); err != nil {
+		var err error
+		if t, err = c.unary(x); err != nil {
 			return err
 		}
 	case *cast.Postfix:
@@ -449,52 +466,61 @@ func (c *compiler) compileExpr(e cast.Expr, drop bool) error {
 		if !x.Inc {
 			delta = -1
 		}
-		t, err := c.lvalue(x.X)
-		if err != nil {
+		var err error
+		if t, err = c.lvalue(x.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpLoadMemKeep, Typ: t}, +1)
+		c.emit(Instr{Op: OpLoadMemKeep, W: widthOf(t), Typ: t}, +1)
 		c.trace(x.X, 1, false)
 		c.trace(x.X, 1, true)
-		c.emit(Instr{Op: OpPostfix, A: delta, Typ: t}, -1)
+		c.emit(Instr{Op: OpPostfix, W: incWidth(t), A: delta, Typ: t}, -1)
 	case *cast.Binary:
 		if err := c.value(x.X); err != nil {
 			return err
 		}
+		lt := c.pushed
 		if err := c.value(x.Y); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpBinop, A: int32(x.Op), B: c.pos(x.Pos())}, -1)
+		t = c.binop(x.Op, c.pos(x.Pos()), lt, c.pushed)
 	case *cast.Logical:
 		if err := c.logical(x); err != nil {
 			return err
 		}
+		t = ctypes.IntType
 	case *cast.Cond:
 		if err := c.ternary(x); err != nil {
 			return err
 		}
+		if ct := x.Type(); ct != nil && ct.Kind != ctypes.Void {
+			t = ct
+		}
 	case *cast.Assign:
 		return c.assign(x, drop)
 	case *cast.Call:
-		if err := c.call(x); err != nil {
+		var err error
+		if t, err = c.call(x); err != nil {
 			return err
 		}
 	case *cast.Index, *cast.Member:
-		t, err := c.lvalue(e)
+		lt, err := c.lvalue(e)
 		if err != nil {
 			return err
 		}
 		c.trace(e, 0, false)
-		c.loadMem(t)
+		t = c.loadMem(lt)
 	case *cast.SizeofExpr:
-		c.intConst(x.X.Type().Size(), ctypes.LongType)
+		t = ctypes.LongType
+		c.intConst(x.X.Type().Size(), t)
 	case *cast.SizeofType:
-		c.intConst(x.Of.Size(), ctypes.LongType)
+		t = ctypes.LongType
+		c.intConst(x.Of.Size(), t)
 	case *cast.CastExpr:
 		if err := c.value(x.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpConvert, Typ: x.To}, 0)
+		c.convert(x.To)
+		t = x.To
 	case *cast.Comma:
 		if err := c.effect(x.X); err != nil {
 			return err
@@ -506,46 +532,98 @@ func (c *compiler) compileExpr(e cast.Expr, drop bool) error {
 	if drop {
 		c.emit(Instr{Op: OpDrop}, -1)
 	}
+	c.pushed = t
 	return nil
 }
 
-func (c *compiler) unary(x *cast.Unary) error {
+// binop emits binary operator op on operands of pushed types lt and rt
+// and returns its result's type. Two arithmetic operands carry their
+// usual-arithmetic type, resolved here once instead of per execution;
+// any other pair takes the executor's generic binop, which works the
+// types out from the operand values as the tree walker does.
+func (c *compiler) binop(op cast.BinaryOp, pos int32, lt, rt *ctypes.Type) *ctypes.Type {
+	in := Instr{Op: OpBinop, A: int32(op), B: pos}
+	var res *ctypes.Type
+	switch {
+	case lt == nil || rt == nil:
+	case lt.IsArith() && rt.IsArith():
+		res = ctypes.UsualArith(lt, rt)
+		in.W, in.Typ = widthOf(res), res
+	case lt.Kind == ctypes.Ptr && rt.Kind == ctypes.Ptr && op == cast.Sub:
+		res = ctypes.LongType
+	case lt.Kind == ctypes.Ptr && rt.IsInteger() && (op == cast.Add || op == cast.Sub):
+		res = lt
+	case lt.IsInteger() && rt.Kind == ctypes.Ptr && op == cast.Add:
+		res = rt
+	}
+	c.emit(in, -1)
+	if op >= cast.Lt { // the comparisons, whose result is an int 0 or 1
+		return ctypes.IntType
+	}
+	return res
+}
+
+// convert emits a conversion of the value on the stack to t, unless the
+// value already has type t: a scalar converted to its own type is
+// unchanged, since every value the executor makes is already truncated
+// or rounded to its type.
+func (c *compiler) convert(t *ctypes.Type) {
+	if c.pushed != t || !t.IsScalar() {
+		c.emit(Instr{Op: OpConvert, Typ: t}, 0)
+	}
+	c.pushed = t
+}
+
+// incWidth is the Width of ++ and -- on type t: a pointer steps by its
+// element size, which the generic path works out.
+func incWidth(t *ctypes.Type) Width {
+	if t.IsArith() {
+		return widthOf(t)
+	}
+	return Generic
+}
+
+func (c *compiler) unary(x *cast.Unary) (*ctypes.Type, error) {
 	switch x.Op {
 	case cast.Neg:
 		if err := c.value(x.X); err != nil {
-			return err
+			return nil, err
 		}
 		c.emit(Instr{Op: OpNeg, Typ: x.Type()}, 0)
+		return x.Type(), nil
 	case cast.BitNot:
 		if err := c.value(x.X); err != nil {
-			return err
+			return nil, err
 		}
 		c.emit(Instr{Op: OpBitNot, Typ: x.Type()}, 0)
+		return x.Type(), nil
 	case cast.LogNot:
 		if err := c.value(x.X); err != nil {
-			return err
+			return nil, err
 		}
 		c.emit(Instr{Op: OpLogNot}, 0)
+		return ctypes.IntType, nil
 	case cast.Deref:
 		if err := c.value(x.X); err != nil {
-			return err
+			return nil, err
 		}
 		c.emit(Instr{Op: OpDerefAddr, A: c.pos(x.Pos())}, 0)
 		c.trace(x, 0, false)
-		c.loadMem(x.Type())
+		return c.loadMem(x.Type()), nil
 	case cast.Addr:
 		if id, ok := x.X.(*cast.Ident); ok && id.Obj.Kind == cast.ObjFunc {
 			if id.Obj.FuncIndex < 0 {
 				c.failWith(fmt.Sprintf("cannot take the address of builtin %q", id.Obj.Name), +1)
-				return nil
+				return nil, nil
 			}
 			c.emit(Instr{Op: OpFnPtr, A: int32(id.Obj.FuncIndex), Typ: x.Type()}, +1)
-			return nil
+			return x.Type(), nil
 		}
 		if _, err := c.lvalue(x.X); err != nil {
-			return err
+			return nil, err
 		}
 		c.emit(Instr{Op: OpRetype, Typ: x.Type()}, 0)
+		return x.Type(), nil
 	case cast.PreInc, cast.PreDec:
 		delta := int32(1)
 		if x.Op == cast.PreDec {
@@ -553,16 +631,16 @@ func (c *compiler) unary(x *cast.Unary) error {
 		}
 		t, err := c.lvalue(x.X)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		c.emit(Instr{Op: OpLoadMemKeep, Typ: t}, +1)
+		c.emit(Instr{Op: OpLoadMemKeep, W: widthOf(t), Typ: t}, +1)
 		c.trace(x.X, 1, false)
 		c.trace(x.X, 1, true)
-		c.emit(Instr{Op: OpPreInc, A: delta, Typ: t}, -1)
-	default:
-		c.failWith(fmt.Sprintf("interp: unhandled unary %s", x.Op), +1)
+		c.emit(Instr{Op: OpPreInc, W: incWidth(t), A: delta, Typ: t}, -1)
+		return t, nil
 	}
-	return nil
+	c.failWith(fmt.Sprintf("interp: unhandled unary %s", x.Op), +1)
+	return nil, nil
 }
 
 func (c *compiler) logical(x *cast.Logical) error {
@@ -615,7 +693,7 @@ func (c *compiler) condArm(x *cast.Cond, arm cast.Expr) error {
 		return err
 	}
 	if t := x.Type(); t != nil && t.Kind != ctypes.Void {
-		c.emit(Instr{Op: OpConvert, Typ: t}, 0)
+		c.convert(t)
 	}
 	return nil
 }
@@ -631,35 +709,36 @@ func (c *compiler) assign(x *cast.Assign, drop bool) error {
 	if err != nil {
 		return err
 	}
+	w := widthOf(t)
 	if x.Op == cast.Plain {
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpConvert, Typ: t}, 0)
 	} else {
-		c.emit(Instr{Op: OpLoadMemKeep, Typ: t}, +1)
+		c.emit(Instr{Op: OpLoadMemKeep, W: w, Typ: t}, +1)
 		c.trace(x.L, 1, false)
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpBinop, A: int32(x.Op.BinOp()), B: -1}, -1)
-		c.emit(Instr{Op: OpConvert, Typ: t}, 0)
+		c.binop(x.Op.BinOp(), -1, t, c.pushed)
 	}
+	c.convert(t)
 	// The write-trace hook precedes the store instruction (the address
 	// is still on the stack there); the tree walker appends after the
 	// store, but no other append can intervene and a failing store
 	// aborts the run, so the trace orders are identical.
 	c.trace(x.L, 1, true)
 	if drop {
-		c.emit(Instr{Op: OpStoreMem, Typ: t}, -2)
+		c.emit(Instr{Op: OpStoreMem, W: w, Typ: t}, -2)
 	} else {
-		c.emit(Instr{Op: OpStoreMemV, Typ: t}, -1)
+		c.emit(Instr{Op: OpStoreMemV, W: w, Typ: t}, -1)
 	}
 	return nil
 }
 
 func (c *compiler) assignDirect(x *cast.Assign, obj *cast.Object, drop bool) error {
 	t := obj.Type
+	w := widthOf(t)
 	load, store, storeV := OpLoadLocal, OpStoreLocal, OpStoreLocalV
 	a := c.narrow("local offset", obj.FrameOffset)
 	if obj.Global {
@@ -671,49 +750,56 @@ func (c *compiler) assignDirect(x *cast.Assign, obj *cast.Object, drop bool) err
 			return err
 		}
 	} else {
-		c.emit(Instr{Op: load, A: a, Typ: t}, +1)
+		c.emit(Instr{Op: load, W: w, A: a, Typ: t}, +1)
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpBinop, A: int32(x.Op.BinOp()), B: -1}, -1)
+		c.binop(x.Op.BinOp(), -1, t, c.pushed)
 	}
-	c.emit(Instr{Op: OpConvert, Typ: t}, 0)
+	c.convert(t)
 	if drop {
-		c.emit(Instr{Op: store, A: a, Typ: t}, -1)
+		c.emit(Instr{Op: store, W: w, A: a, Typ: t}, -1)
 	} else {
-		c.emit(Instr{Op: storeV, A: a, Typ: t}, 0)
+		c.emit(Instr{Op: storeV, W: w, A: a, Typ: t}, 0)
 	}
 	return nil
 }
 
-// loadMem emits load-from-address-on-stack for type t, resolving the
-// array/struct representation at compile time: struct values are their
-// address and arrays decay to a pointer to their first element, so both
-// "loads" are a retype of the address already on the stack, touching no
-// memory — exactly what the tree walker's m.load produces, minus its
-// per-load PointerTo allocation.
-func (c *compiler) loadMem(t *ctypes.Type) {
+// loadMem emits load-from-address-on-stack for type t and returns the
+// loaded value's type, resolving the array/struct representation at
+// compile time: struct values are their address and arrays decay to a
+// pointer to their first element, so both "loads" are a retype of the
+// address already on the stack, touching no memory — exactly what the
+// tree walker's m.load produces, minus its per-load PointerTo
+// allocation.
+func (c *compiler) loadMem(t *ctypes.Type) *ctypes.Type {
 	switch t.Kind {
 	case ctypes.Array:
-		c.emit(Instr{Op: OpRetype, Typ: ctypes.PointerTo(t.Elem)}, 0)
+		pt := ctypes.PointerTo(t.Elem)
+		c.emit(Instr{Op: OpRetype, Typ: pt}, 0)
+		return pt
 	case ctypes.Struct:
 		c.emit(Instr{Op: OpRetype, Typ: t}, 0)
 	default:
-		c.emit(Instr{Op: OpLoadMem, Typ: t}, 0)
+		c.emit(Instr{Op: OpLoadMem, W: widthOf(t), Typ: t}, 0)
 	}
+	return t
 }
 
-// loadVar emits a variable rvalue: a real load for scalars, the
-// decayed/struct address push for arrays and structs.
-func (c *compiler) loadVar(load, addr Op, a int32, t *ctypes.Type) {
+// loadVar emits a variable rvalue and returns its type: a real load for
+// scalars, the decayed/struct address push for arrays and structs.
+func (c *compiler) loadVar(load, addr Op, a int32, t *ctypes.Type) *ctypes.Type {
 	switch t.Kind {
 	case ctypes.Array:
-		c.emit(Instr{Op: addr, A: a, Typ: ctypes.PointerTo(t.Elem)}, +1)
+		pt := ctypes.PointerTo(t.Elem)
+		c.emit(Instr{Op: addr, A: a, Typ: pt}, +1)
+		return pt
 	case ctypes.Struct:
 		c.emit(Instr{Op: addr, A: a, Typ: t}, +1)
 	default:
-		c.emit(Instr{Op: load, A: a, Typ: t}, +1)
+		c.emit(Instr{Op: load, W: widthOf(t), A: a, Typ: t}, +1)
 	}
+	return t
 }
 
 // lvalue compiles the address of an assignable expression onto the
@@ -771,7 +857,10 @@ func (c *compiler) lvalue(e cast.Expr) (*ctypes.Type, error) {
 	return ctypes.IntType, nil
 }
 
-func (c *compiler) call(x *cast.Call) error {
+// call compiles a call and returns its result's type: a defined
+// function's return type (void as ctypes.VoidType, as the executor
+// returns it), or nil for a builtin or an indirect call.
+func (c *compiler) call(x *cast.Call) (*ctypes.Type, error) {
 	// Resolve the target first, exactly as the tree walker does: an
 	// indirect callee expression evaluates — and its null/non-function
 	// checks fire — before any argument.
@@ -787,13 +876,13 @@ func (c *compiler) call(x *cast.Call) error {
 	} else {
 		indirect = true
 		if err := c.value(x.Fun); err != nil {
-			return err
+			return nil, err
 		}
 		c.emit(Instr{Op: OpCheckFn, A: c.pos(x.Pos())}, 0)
 	}
 	for _, a := range x.Args {
 		if err := c.value(a); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if x.SiteID >= 0 {
@@ -816,27 +905,10 @@ func (c *compiler) call(x *cast.Call) error {
 		c.emit(Instr{Op: OpCallBuiltin, A: idx, B: nargs, C: pos}, -int(nargs)+1)
 	default:
 		c.emit(Instr{Op: OpCall, A: int32(fnIdx), B: nargs, C: pos}, -int(nargs)+1)
+		if ret := c.funcs[fnIdx].Obj.Type.Sig.Ret; ret.Kind != ctypes.Void {
+			return ret, nil
+		}
+		return ctypes.VoidType, nil
 	}
-	return nil
-}
-
-// truncConst reduces v to the width and signedness of integer type t,
-// replicating the interpreter's intValue truncation at compile time.
-func truncConst(v int64, t *ctypes.Type) int64 {
-	switch t.Kind {
-	case ctypes.Char:
-		return int64(int8(v))
-	case ctypes.UChar:
-		return int64(uint8(v))
-	case ctypes.Short:
-		return int64(int16(v))
-	case ctypes.UShort:
-		return int64(uint16(v))
-	case ctypes.Int:
-		return int64(int32(v))
-	case ctypes.UInt:
-		return int64(uint32(v))
-	default: // Long, ULong, Ptr
-		return v
-	}
+	return nil, nil
 }

@@ -112,13 +112,19 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 		if n == 0 {
 			n = 1
 		}
-		data := make([]byte, n)
+		var old *segment
 		if p := pv(0); p != 0 {
-			old := m.seg(ptrSeg(p))
+			old = m.seg(ptrSeg(p))
 			if old.kind != segHeap {
 				m.fail("realloc of non-heap pointer")
 			}
-			copy(data, old.data[ptrOff(p):])
+			if off := ptrOff(p); off != 0 {
+				m.fail("realloc of a pointer %d bytes into a heap block", off)
+			}
+		}
+		data := make([]byte, n)
+		if old != nil {
+			copy(data, old.data)
 			old.freed = true
 		}
 		return retP(encodePtr(m.newSegment(data, segHeap, "realloc"), 0), voidPtr)

@@ -1,6 +1,9 @@
 package interp
 
 import (
+	"encoding/binary"
+	"math"
+
 	"staticest/internal/bc"
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
@@ -134,6 +137,7 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 		m.vstack = ns
 	}
 	code := f.Code
+	frOff := ptrOff(frBase) // the frame's offset in the stack segment
 	var counts, pv []float64
 	var factor float64
 	// tr is this activation's frame-trace slot. Nested calls append to
@@ -273,10 +277,14 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 			m.vstack[m.vsp] = value{typ: in.Typ, i: int64(encodeFnPtr(int(in.A)))}
 			m.vsp++
 		case bc.OpLoadLocal:
-			m.vstack[m.vsp] = m.load(frBase+uint64(in.A), in.Typ)
+			if b := m.frameSlot(frOff+int64(in.A), in.W); b != nil {
+				m.vstack[m.vsp] = readScalar(b, in.W, in.Typ)
+			} else {
+				m.vstack[m.vsp] = m.load(frBase+uint64(in.A), in.Typ)
+			}
 			m.vsp++
 		case bc.OpLoadGlobal:
-			m.vstack[m.vsp] = m.load(encodePtr(m.globalSeg[in.A], 0), in.Typ)
+			m.vstack[m.vsp] = m.loadScalar(encodePtr(m.globalSeg[in.A], 0), in.W, in.Typ)
 			m.vsp++
 		case bc.OpAddrLocal:
 			m.vstack[m.vsp] = value{typ: in.Typ, i: int64(frBase + uint64(in.A))}
@@ -287,28 +295,36 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 		case bc.OpRetype:
 			m.vstack[m.vsp-1].typ = in.Typ
 		case bc.OpLoadMem:
-			m.vstack[m.vsp-1] = m.load(uint64(m.vstack[m.vsp-1].i), in.Typ)
+			m.vstack[m.vsp-1] = m.loadScalar(uint64(m.vstack[m.vsp-1].i), in.W, in.Typ)
 		case bc.OpLoadMemKeep:
-			m.vstack[m.vsp] = m.load(uint64(m.vstack[m.vsp-1].i), in.Typ)
+			m.vstack[m.vsp] = m.loadScalar(uint64(m.vstack[m.vsp-1].i), in.W, in.Typ)
 			m.vsp++
 		case bc.OpStoreMem:
 			m.vsp -= 2
-			m.store(uint64(m.vstack[m.vsp].i), in.Typ, m.vstack[m.vsp+1])
+			m.storeScalar(uint64(m.vstack[m.vsp].i), in.W, in.Typ, m.vstack[m.vsp+1])
 		case bc.OpStoreMemV:
 			v := m.vstack[m.vsp-1]
-			m.store(uint64(m.vstack[m.vsp-2].i), in.Typ, v)
+			m.storeScalar(uint64(m.vstack[m.vsp-2].i), in.W, in.Typ, v)
 			m.vstack[m.vsp-2] = v
 			m.vsp--
 		case bc.OpStoreLocal:
 			m.vsp--
-			m.store(frBase+uint64(in.A), in.Typ, m.vstack[m.vsp])
+			if b := m.frameSlot(frOff+int64(in.A), in.W); b != nil {
+				writeScalar(b, in.W, m.vstack[m.vsp])
+			} else {
+				m.store(frBase+uint64(in.A), in.Typ, m.vstack[m.vsp])
+			}
 		case bc.OpStoreLocalV:
-			m.store(frBase+uint64(in.A), in.Typ, m.vstack[m.vsp-1])
+			if b := m.frameSlot(frOff+int64(in.A), in.W); b != nil {
+				writeScalar(b, in.W, m.vstack[m.vsp-1])
+			} else {
+				m.store(frBase+uint64(in.A), in.Typ, m.vstack[m.vsp-1])
+			}
 		case bc.OpStoreGlobal:
 			m.vsp--
-			m.store(encodePtr(m.globalSeg[in.A], 0), in.Typ, m.vstack[m.vsp])
+			m.storeScalar(encodePtr(m.globalSeg[in.A], 0), in.W, in.Typ, m.vstack[m.vsp])
 		case bc.OpStoreGlobalV:
-			m.store(encodePtr(m.globalSeg[in.A], 0), in.Typ, m.vstack[m.vsp-1])
+			m.storeScalar(encodePtr(m.globalSeg[in.A], 0), in.W, in.Typ, m.vstack[m.vsp-1])
 		case bc.OpIndexAddr:
 			m.vsp--
 			idx := m.vstack[m.vsp]
@@ -353,7 +369,11 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 			if in.B >= 0 {
 				m.curPos = f.Pos[in.B]
 			}
-			m.vstack[m.vsp-1] = m.binop(cast.BinaryOp(in.A), m.vstack[m.vsp-1], r)
+			if in.W == bc.Generic {
+				m.vstack[m.vsp-1] = m.binop(cast.BinaryOp(in.A), m.vstack[m.vsp-1], r)
+			} else {
+				m.vstack[m.vsp-1] = m.arith(cast.BinaryOp(in.A), in.W, in.Typ, m.vstack[m.vsp-1], r)
+			}
 		case bc.OpNeg:
 			v := m.vstack[m.vsp-1]
 			if v.typ.IsFloat() {
@@ -371,12 +391,12 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 			m.vstack[m.vsp-1] = convert(m, m.vstack[m.vsp-1], in.Typ)
 		case bc.OpPostfix:
 			old := m.vstack[m.vsp-1]
-			m.store(uint64(m.vstack[m.vsp-2].i), in.Typ, m.addScalar(old, int64(in.A)))
+			m.storeScalar(uint64(m.vstack[m.vsp-2].i), in.W, in.Typ, m.incr(old, in.W, in.A))
 			m.vstack[m.vsp-2] = old
 			m.vsp--
 		case bc.OpPreInc:
-			nv := m.addScalar(m.vstack[m.vsp-1], int64(in.A))
-			m.store(uint64(m.vstack[m.vsp-2].i), in.Typ, nv)
+			nv := m.incr(m.vstack[m.vsp-1], in.W, in.A)
+			m.storeScalar(uint64(m.vstack[m.vsp-2].i), in.W, in.Typ, nv)
 			m.vstack[m.vsp-2] = nv
 			m.vsp--
 		case bc.OpCheckFn:
@@ -422,3 +442,222 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 		}
 	}
 }
+
+// --- typed paths ------------------------------------------------------------
+//
+// The helpers below run the instructions whose types the lowering
+// resolved to a bc.Width. Each is the generic load, store, binop or
+// addScalar specialised to a width known before the run; a Generic
+// width takes the generic code itself. The tree walker keeps only the
+// generic code, so the differential oracles check one against the
+// other.
+
+// frameSlot returns the bytes of an access of width w at offset off of
+// the stack segment, or nil when w is Generic or the bytes lie past the
+// stack's backing array. A frame slot lies inside the array, which
+// pushFrame grew to hold the frame, so this one bounds check stands for
+// checkedSlice's.
+func (m *Machine) frameSlot(off int64, w bc.Width) []byte {
+	if n := w.Size(); n != 0 && off+n <= int64(len(m.stack.data)) {
+		return m.stack.data[off : off+n]
+	}
+	return nil
+}
+
+// scalarBytes returns the n bytes at p: checkedSlice, with its common
+// case (a live segment, the bytes within its data) checked inline. A
+// null, function or freed pointer, and an access past the data, take
+// checkedSlice itself, which grows the stack or faults.
+func (m *Machine) scalarBytes(p uint64, n int64) []byte {
+	if id := p >> offBits; id-1 < uint64(len(m.segs)) {
+		s := m.segs[id-1]
+		if o := int64(p & offMask); !s.freed && o+n <= int64(len(s.data)) {
+			return s.data[o : o+n]
+		}
+	}
+	return m.checkedSlice(p, n)
+}
+
+// loadScalar is load for an access of width w.
+func (m *Machine) loadScalar(p uint64, w bc.Width, t *ctypes.Type) value {
+	if w == bc.Generic {
+		return m.load(p, t)
+	}
+	return readScalar(m.scalarBytes(p, w.Size()), w, t)
+}
+
+// storeScalar is store for an access of width w.
+func (m *Machine) storeScalar(p uint64, w bc.Width, t *ctypes.Type, v value) {
+	if w == bc.Generic {
+		m.store(p, t, v)
+		return
+	}
+	writeScalar(m.scalarBytes(p, w.Size()), w, v)
+}
+
+// readScalar decodes the w.Size() bytes of b as a value of type t.
+func readScalar(b []byte, w bc.Width, t *ctypes.Type) value {
+	switch w {
+	case bc.I8:
+		return value{typ: t, i: int64(int8(b[0]))}
+	case bc.U8:
+		return value{typ: t, i: int64(b[0])}
+	case bc.I16:
+		return value{typ: t, i: int64(int16(binary.LittleEndian.Uint16(b)))}
+	case bc.U16:
+		return value{typ: t, i: int64(binary.LittleEndian.Uint16(b))}
+	case bc.I32:
+		return value{typ: t, i: int64(int32(binary.LittleEndian.Uint32(b)))}
+	case bc.U32:
+		return value{typ: t, i: int64(binary.LittleEndian.Uint32(b))}
+	case bc.F32:
+		return value{typ: t, f: float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))}
+	case bc.F64:
+		return value{typ: t, f: math.Float64frombits(binary.LittleEndian.Uint64(b))}
+	}
+	return value{typ: t, i: int64(binary.LittleEndian.Uint64(b))} // I64, U64
+}
+
+// writeScalar encodes v into the w.Size() bytes of b.
+func writeScalar(b []byte, w bc.Width, v value) {
+	switch w {
+	case bc.I8, bc.U8:
+		b[0] = byte(v.i)
+	case bc.I16, bc.U16:
+		binary.LittleEndian.PutUint16(b, uint16(v.i))
+	case bc.I32, bc.U32:
+		binary.LittleEndian.PutUint32(b, uint32(v.i))
+	case bc.F32:
+		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(v.f)))
+	case bc.F64:
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v.f))
+	default: // I64, U64
+		binary.LittleEndian.PutUint64(b, uint64(v.i))
+	}
+}
+
+// incr is addScalar for ++ and -- on an lvalue of width w. A pointer's
+// width is Generic: it steps by its element size on the generic path.
+func (m *Machine) incr(v value, w bc.Width, delta int32) value {
+	switch w {
+	case bc.Generic:
+		return m.addScalar(v, int64(delta))
+	case bc.F32:
+		return value{typ: v.typ, f: float64(float32(v.f + float64(delta)))}
+	case bc.F64:
+		return value{typ: v.typ, f: v.f + float64(delta)}
+	}
+	return value{typ: v.typ, i: w.Trunc(v.i + int64(delta))}
+}
+
+// arith is binop for two arithmetic operands whose usual-arithmetic
+// type the lowering resolved: ct, of width w.
+func (m *Machine) arith(op cast.BinaryOp, w bc.Width, ct *ctypes.Type, l, r value) value {
+	if w == bc.F32 || w == bc.F64 {
+		lf, rf := toF(l), toF(r)
+		var f float64
+		switch op {
+		case cast.Add:
+			f = lf + rf
+		case cast.Sub:
+			f = lf - rf
+		case cast.Mul:
+			f = lf * rf
+		case cast.Div:
+			f = lf / rf
+		case cast.Lt:
+			return boolValue(lf < rf)
+		case cast.Gt:
+			return boolValue(lf > rf)
+		case cast.Le:
+			return boolValue(lf <= rf)
+		case cast.Ge:
+			return boolValue(lf >= rf)
+		case cast.Eq:
+			return boolValue(lf == rf)
+		case cast.Ne:
+			return boolValue(lf != rf)
+		default:
+			m.fail("invalid floating operation %s", op)
+		}
+		if w == bc.F32 {
+			f = float64(float32(f))
+		}
+		return value{typ: ct, f: f}
+	}
+	li, ri := w.Trunc(l.i), w.Trunc(r.i)
+	unsigned := w == bc.U32 || w == bc.U64
+	var v int64
+	switch op {
+	case cast.Add:
+		v = li + ri
+	case cast.Sub:
+		v = li - ri
+	case cast.Mul:
+		v = li * ri
+	case cast.Div:
+		if ri == 0 {
+			m.fail("integer division by zero")
+		}
+		switch {
+		case unsigned:
+			v = int64(uint64(li) / uint64(ri))
+		case li == math.MinInt64 && ri == -1:
+			v = li
+		default:
+			v = li / ri
+		}
+	case cast.Rem:
+		if ri == 0 {
+			m.fail("integer remainder by zero")
+		}
+		switch {
+		case unsigned:
+			v = int64(uint64(li) % uint64(ri))
+		case li == math.MinInt64 && ri == -1:
+			v = 0
+		default:
+			v = li % ri
+		}
+	case cast.And:
+		v = li & ri
+	case cast.Or:
+		v = li | ri
+	case cast.Xor:
+		v = li ^ ri
+	case cast.Shl:
+		v = li << (uint64(ri) & 63)
+	case cast.Shr:
+		switch s := uint64(ri) & 63; w {
+		case bc.U32:
+			v = int64(uint32(li) >> s)
+		case bc.U64:
+			v = int64(uint64(li) >> s)
+		default:
+			v = li >> s
+		}
+	case cast.Lt, cast.Gt, cast.Le, cast.Ge, cast.Eq, cast.Ne:
+		if unsigned {
+			return boolValue(cmpInt(op, uint64(li), uint64(ri)))
+		}
+		switch op {
+		case cast.Lt:
+			return boolValue(li < ri)
+		case cast.Gt:
+			return boolValue(li > ri)
+		case cast.Le:
+			return boolValue(li <= ri)
+		case cast.Ge:
+			return boolValue(li >= ri)
+		case cast.Eq:
+			return boolValue(li == ri)
+		}
+		return boolValue(li != ri)
+	default:
+		m.fail("interp: unhandled binary %s", op)
+	}
+	return value{typ: ct, i: w.Trunc(v)}
+}
+
+// boolValue is a comparison's result: int 0 or 1.
+func boolValue(b bool) value { return value{typ: ctypes.IntType, i: b2i(b)} }

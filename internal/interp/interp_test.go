@@ -334,12 +334,6 @@ int main(void) {
 	}
 }
 
-func runErr(t *testing.T, src string, opts interp.Options) error {
-	t.Helper()
-	_, err := interp.Run(compile(t, src), opts)
-	return err
-}
-
 func TestRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
@@ -359,15 +353,25 @@ func TestRuntimeErrors(t *testing.T) {
 			"out-of-bounds access: offset 16 size 9223372036854775807"},
 		{"step budget", `int main(void){ for(;;); return 0; }`, "step budget"},
 		{"deep recursion", `int f(int n){ return f(n+1); } int main(void){ return f(0); }`, ""},
+		// Only the start of a live block can be reallocated; copying
+		// from past the block's end was a Go panic.
+		{"realloc past the block", `int main(void){ char *p = (char*)malloc(10); p = (char*)realloc(p + 100, 20); return 0; }`,
+			"runtime error at test.c:1:64: realloc of a pointer 100 bytes into a heap block"},
+		{"realloc inside the block", `int main(void){ char *p = (char*)malloc(10); p = (char*)realloc(p + 3, 20); return 0; }`,
+			"realloc of a pointer 3 bytes into a heap block"},
+		{"realloc after free", `int main(void){ char *p = (char*)malloc(10); free(p); p = (char*)realloc(p, 20); return 0; }`,
+			"use of freed memory"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runErr(t, tc.src, interp.Options{MaxSteps: 1_000_000})
-			if err == nil {
-				t.Fatal("expected runtime error")
-			}
-			if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not mention %q", err, tc.wantSub)
+			cp := compile(t, tc.src)
+			for _, e := range engines {
+				_, err := e.run(cp, interp.Options{MaxSteps: 1_000_000})
+				if err == nil {
+					t.Errorf("%s: expected runtime error", e.name)
+				} else if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
+					t.Errorf("%s: error %q does not mention %q", e.name, err, tc.wantSub)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -16,7 +17,9 @@ import (
 
 // TestPanicRecovery proves the middleware turns a handler panic into a
 // 500 JSON error, bumps server_panics_total, and leaves the inflight
-// gauge balanced — the server must survive its own bugs.
+// gauge balanced — the server must survive its own bugs. The reply
+// names the panic but not the stack, whose frames carry source paths;
+// the stack stays on the request's span, where /v1/debug/slow shows it.
 func TestPanicRecovery(t *testing.T) {
 	o := obs.New()
 	s := New(Config{Obs: o})
@@ -31,8 +34,20 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
 	body := rec.Body.String()
-	if !strings.Contains(body, `"error"`) || !strings.Contains(body, "kaboom") {
+	if !strings.Contains(body, `"error"`) || !strings.Contains(body, "internal error: kaboom") {
 		t.Errorf("body %q does not report the panic", body)
+	}
+	if strings.Contains(body, "goroutine ") || strings.Contains(body, ".go:") {
+		t.Errorf("body %q carries the stack", body)
+	}
+	slow := httptest.NewRecorder()
+	s.handleDebugSlow(slow, httptest.NewRequest("GET", "/v1/debug/slow", nil))
+	var resp SlowResponse
+	if err := json.Unmarshal(slow.Body.Bytes(), &resp); err != nil || len(resp.Requests) != 1 || resp.Requests[0].Trace == nil {
+		t.Fatalf("debug/slow: %v, %s", err, slow.Body)
+	}
+	if st, _ := resp.Requests[0].Trace.Attrs["panic_stack"].(string); !strings.Contains(st, "goroutine ") {
+		t.Errorf("request span's panic_stack = %q, want the stack", st)
 	}
 	if n := o.Counter("server_panics_total").Value(); n != 1 {
 		t.Errorf("server_panics_total = %d, want 1", n)

@@ -371,8 +371,12 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 			v, err = func() (v any, err error) {
 				defer func() {
 					if p := recover(); p != nil {
+						// The stack names source files: it goes on the
+						// request's span, which /v1/debug/slow shows,
+						// and not into the reply.
 						panics.Add(1)
-						err = fmt.Errorf("internal error: %v\n%s", p, debug.Stack())
+						sp.SetAttr("panic_stack", string(debug.Stack()))
+						err = fmt.Errorf("internal error: %v", p)
 					}
 				}()
 				return h(r)

@@ -203,6 +203,9 @@ func TestRequestErrors(t *testing.T) {
 			`{"source":"int main(void){return 0;}","input":"ref"}`, http.StatusBadRequest},
 		{"unknown input", "POST", "/v1/profile",
 			`{"program":"compress","input":"nope"}`, http.StatusNotFound},
+		{"realloc past the block", "POST", "/v1/profile",
+			`{"source":"int main(void){char *p = (char*)malloc(10); p = (char*)realloc(p + 100, 20); return 0;}"}`,
+			http.StatusUnprocessableEntity},
 		{"bad freq source", "POST", "/v1/optimize",
 			`{"source":"int main(void){return 0;}","freq_source":"vibes"}`, http.StatusBadRequest},
 		{"profile source needs suite", "POST", "/v1/optimize",
