@@ -177,31 +177,28 @@ const (
 	F64           // double
 )
 
-// widthOf resolves a scalar type; anything else is Generic.
-func widthOf(t *ctypes.Type) Width {
-	switch t.Kind {
-	case ctypes.Char:
-		return I8
-	case ctypes.UChar:
-		return U8
-	case ctypes.Short:
-		return I16
-	case ctypes.UShort:
-		return U16
-	case ctypes.Int:
-		return I32
-	case ctypes.UInt:
-		return U32
-	case ctypes.Long:
-		return I64
-	case ctypes.ULong, ctypes.Ptr:
-		return U64
-	case ctypes.Float:
-		return F32
-	case ctypes.Double:
-		return F64
+// kindWidth is the Width of each scalar ctypes.Kind.
+var kindWidth = [...]Width{
+	ctypes.Char: I8, ctypes.UChar: U8, ctypes.Short: I16, ctypes.UShort: U16,
+	ctypes.Int: I32, ctypes.UInt: U32, ctypes.Long: I64, ctypes.ULong: U64,
+	ctypes.Float: F32, ctypes.Double: F64, ctypes.Ptr: U64,
+}
+
+// WidthOf resolves a scalar type; anything else is Generic.
+func WidthOf(t *ctypes.Type) Width {
+	if int(t.Kind) < len(kindWidth) {
+		return kindWidth[t.Kind]
 	}
 	return Generic
+}
+
+// IncWidth is the Width of ++ and -- on type t: an arithmetic type's
+// own, and Generic for a pointer, which steps by its element size.
+func IncWidth(t *ctypes.Type) Width {
+	if t.Kind == ctypes.Ptr {
+		return Generic
+	}
+	return WidthOf(t)
 }
 
 var widthSize = [...]int64{I8: 1, U8: 1, I16: 2, U16: 2, I32: 4, U32: 4, I64: 8, U64: 8, F32: 4, F64: 8}
@@ -209,9 +206,8 @@ var widthSize = [...]int64{I8: 1, U8: 1, I16: 2, U16: 2, I32: 4, U32: 4, I64: 8,
 // Size is the access's byte count; 0 for Generic.
 func (w Width) Size() int64 { return widthSize[w] }
 
-// Trunc reduces v to an integer width and its signedness, as the
-// interpreter's truncInt does for the type; 64-bit and non-integer
-// widths leave v as it is.
+// Trunc reduces v to an integer width and its signedness; 64-bit and
+// non-integer widths leave v as it is.
 func (w Width) Trunc(v int64) int64 {
 	switch w {
 	case I8:

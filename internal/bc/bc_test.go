@@ -68,6 +68,10 @@ func TestLoweringResolvesTypes(t *testing.T) {
 		{"char", "char c; c = c + 1;", []op{
 			{bc.OpLoadLocal, bc.I8}, {bc.OpConst, 0}, {bc.OpBinop, bc.I32},
 			{bc.OpConvert, 0}, {bc.OpStoreLocal, bc.I8}}},
+		// char += char adds as ints: the value and the store narrow it.
+		{"char compound", "char c, d; c += d;", []op{
+			{bc.OpLoadLocal, bc.I8}, {bc.OpLoadLocal, bc.I8}, {bc.OpBinop, bc.I32},
+			{bc.OpConvert, 0}, {bc.OpStoreLocal, bc.I8}}},
 		{"unsigned and int", "unsigned u; int i; u = u - i;", []op{
 			{bc.OpLoadLocal, bc.U32}, {bc.OpLoadLocal, bc.I32}, {bc.OpBinop, bc.U32},
 			{bc.OpStoreLocal, bc.U32}}},

@@ -165,7 +165,7 @@ func (c *compiler) constant(k Const) {
 }
 
 func (c *compiler) intConst(v int64, t *ctypes.Type) {
-	c.constant(Const{Typ: t, I: widthOf(t).Trunc(v)})
+	c.constant(Const{Typ: t, I: WidthOf(t).Trunc(v)})
 }
 
 func (c *compiler) expr(e cast.Expr) int32 {
@@ -383,7 +383,7 @@ func (c *compiler) localInit(off int64, t *ctypes.Type, in cast.Init) error {
 			return err
 		}
 		c.convert(t)
-		c.emit(Instr{Op: OpStoreMem, W: widthOf(t), Typ: t}, -2)
+		c.emit(Instr{Op: OpStoreMem, W: WidthOf(t), Typ: t}, -2)
 	case *cast.ListInit:
 		switch t.Kind {
 		case ctypes.Array:
@@ -470,10 +470,10 @@ func (c *compiler) compileExpr(e cast.Expr, drop bool) error {
 		if t, err = c.lvalue(x.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpLoadMemKeep, W: widthOf(t), Typ: t}, +1)
+		c.emit(Instr{Op: OpLoadMemKeep, W: WidthOf(t), Typ: t}, +1)
 		c.trace(x.X, 1, false)
 		c.trace(x.X, 1, true)
-		c.emit(Instr{Op: OpPostfix, W: incWidth(t), A: delta, Typ: t}, -1)
+		c.emit(Instr{Op: OpPostfix, W: IncWidth(t), A: delta, Typ: t}, -1)
 	case *cast.Binary:
 		if err := c.value(x.X); err != nil {
 			return err
@@ -548,7 +548,7 @@ func (c *compiler) binop(op cast.BinaryOp, pos int32, lt, rt *ctypes.Type) *ctyp
 	case lt == nil || rt == nil:
 	case lt.IsArith() && rt.IsArith():
 		res = ctypes.UsualArith(lt, rt)
-		in.W, in.Typ = widthOf(res), res
+		in.W, in.Typ = WidthOf(res), res
 	case lt.Kind == ctypes.Ptr && rt.Kind == ctypes.Ptr && op == cast.Sub:
 		res = ctypes.LongType
 	case lt.Kind == ctypes.Ptr && rt.IsInteger() && (op == cast.Add || op == cast.Sub):
@@ -572,15 +572,6 @@ func (c *compiler) convert(t *ctypes.Type) {
 		c.emit(Instr{Op: OpConvert, Typ: t}, 0)
 	}
 	c.pushed = t
-}
-
-// incWidth is the Width of ++ and -- on type t: a pointer steps by its
-// element size, which the generic path works out.
-func incWidth(t *ctypes.Type) Width {
-	if t.IsArith() {
-		return widthOf(t)
-	}
-	return Generic
 }
 
 func (c *compiler) unary(x *cast.Unary) (*ctypes.Type, error) {
@@ -633,10 +624,10 @@ func (c *compiler) unary(x *cast.Unary) (*ctypes.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.emit(Instr{Op: OpLoadMemKeep, W: widthOf(t), Typ: t}, +1)
+		c.emit(Instr{Op: OpLoadMemKeep, W: WidthOf(t), Typ: t}, +1)
 		c.trace(x.X, 1, false)
 		c.trace(x.X, 1, true)
-		c.emit(Instr{Op: OpPreInc, W: incWidth(t), A: delta, Typ: t}, -1)
+		c.emit(Instr{Op: OpPreInc, W: IncWidth(t), A: delta, Typ: t}, -1)
 		return t, nil
 	}
 	c.failWith(fmt.Sprintf("interp: unhandled unary %s", x.Op), +1)
@@ -709,7 +700,7 @@ func (c *compiler) assign(x *cast.Assign, drop bool) error {
 	if err != nil {
 		return err
 	}
-	w := widthOf(t)
+	w := WidthOf(t)
 	if x.Op == cast.Plain {
 		if err := c.value(x.R); err != nil {
 			return err
@@ -720,7 +711,7 @@ func (c *compiler) assign(x *cast.Assign, drop bool) error {
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.binop(x.Op.BinOp(), -1, t, c.pushed)
+		c.pushed = c.binop(x.Op.BinOp(), -1, t, c.pushed)
 	}
 	c.convert(t)
 	// The write-trace hook precedes the store instruction (the address
@@ -738,7 +729,7 @@ func (c *compiler) assign(x *cast.Assign, drop bool) error {
 
 func (c *compiler) assignDirect(x *cast.Assign, obj *cast.Object, drop bool) error {
 	t := obj.Type
-	w := widthOf(t)
+	w := WidthOf(t)
 	load, store, storeV := OpLoadLocal, OpStoreLocal, OpStoreLocalV
 	a := c.narrow("local offset", obj.FrameOffset)
 	if obj.Global {
@@ -754,7 +745,7 @@ func (c *compiler) assignDirect(x *cast.Assign, obj *cast.Object, drop bool) err
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.binop(x.Op.BinOp(), -1, t, c.pushed)
+		c.pushed = c.binop(x.Op.BinOp(), -1, t, c.pushed)
 	}
 	c.convert(t)
 	if drop {
@@ -781,7 +772,7 @@ func (c *compiler) loadMem(t *ctypes.Type) *ctypes.Type {
 	case ctypes.Struct:
 		c.emit(Instr{Op: OpRetype, Typ: t}, 0)
 	default:
-		c.emit(Instr{Op: OpLoadMem, W: widthOf(t), Typ: t}, 0)
+		c.emit(Instr{Op: OpLoadMem, W: WidthOf(t), Typ: t}, 0)
 	}
 	return t
 }
@@ -797,7 +788,7 @@ func (c *compiler) loadVar(load, addr Op, a int32, t *ctypes.Type) *ctypes.Type 
 	case ctypes.Struct:
 		c.emit(Instr{Op: addr, A: a, Typ: t}, +1)
 	default:
-		c.emit(Instr{Op: load, W: widthOf(t), A: a, Typ: t}, +1)
+		c.emit(Instr{Op: load, W: WidthOf(t), A: a, Typ: t}, +1)
 	}
 	return t
 }

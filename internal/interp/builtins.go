@@ -3,6 +3,7 @@ package interp
 import (
 	"math"
 
+	"staticest/internal/bc"
 	"staticest/internal/cast"
 	"staticest/internal/ctypes"
 )
@@ -231,7 +232,7 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 		need(1)
 		v := parseCInt(m.cString(pv(0)))
 		if name == "atoi" {
-			return ret(truncInt(v, ctypes.IntType))
+			return ret(bc.I32.Trunc(v))
 		}
 		return retL(v)
 	case "atof":
@@ -239,7 +240,7 @@ func (m *Machine) callBuiltin(name string, args []value, call *cast.Call) value 
 		return retF(parseCFloat(m.cString(pv(0))))
 	case "abs":
 		need(1)
-		v := truncInt(iv(0), ctypes.IntType)
+		v := bc.I32.Trunc(iv(0))
 		if v < 0 {
 			v = -v
 		}

@@ -1,9 +1,6 @@
 package interp
 
 import (
-	"encoding/binary"
-	"math"
-
 	"staticest/internal/bc"
 	"staticest/internal/cast"
 	"staticest/internal/cfg"
@@ -391,11 +388,11 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 			m.vstack[m.vsp-1] = convert(m, m.vstack[m.vsp-1], in.Typ)
 		case bc.OpPostfix:
 			old := m.vstack[m.vsp-1]
-			m.storeScalar(uint64(m.vstack[m.vsp-2].i), in.W, in.Typ, m.incr(old, in.W, in.A))
+			m.storeScalar(uint64(m.vstack[m.vsp-2].i), in.W, in.Typ, incr(old, in.W, int64(in.A)))
 			m.vstack[m.vsp-2] = old
 			m.vsp--
 		case bc.OpPreInc:
-			nv := m.incr(m.vstack[m.vsp-1], in.W, in.A)
+			nv := incr(m.vstack[m.vsp-1], in.W, int64(in.A))
 			m.storeScalar(uint64(m.vstack[m.vsp-2].i), in.W, in.Typ, nv)
 			m.vstack[m.vsp-2] = nv
 			m.vsp--
@@ -445,12 +442,12 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 
 // --- typed paths ------------------------------------------------------------
 //
-// The helpers below run the instructions whose types the lowering
-// resolved to a bc.Width. Each is the generic load, store, binop or
-// addScalar specialised to a width known before the run; a Generic
-// width takes the generic code itself. The tree walker keeps only the
-// generic code, so the differential oracles check one against the
-// other.
+// The helpers below run the loads and stores whose width the lowering
+// resolved: they find the bytes with fewer checks than checkedSlice and
+// then decode them as load and store do. A Generic width takes the
+// generic code itself. Typed operators and increments call arith and
+// incr, which the generic binop and addScalar reach after working the
+// width out from their operands.
 
 // frameSlot returns the bytes of an access of width w at offset off of
 // the stack segment, or nil when w is Generic or the bytes lie past the
@@ -494,170 +491,3 @@ func (m *Machine) storeScalar(p uint64, w bc.Width, t *ctypes.Type, v value) {
 	}
 	writeScalar(m.scalarBytes(p, w.Size()), w, v)
 }
-
-// readScalar decodes the w.Size() bytes of b as a value of type t.
-func readScalar(b []byte, w bc.Width, t *ctypes.Type) value {
-	switch w {
-	case bc.I8:
-		return value{typ: t, i: int64(int8(b[0]))}
-	case bc.U8:
-		return value{typ: t, i: int64(b[0])}
-	case bc.I16:
-		return value{typ: t, i: int64(int16(binary.LittleEndian.Uint16(b)))}
-	case bc.U16:
-		return value{typ: t, i: int64(binary.LittleEndian.Uint16(b))}
-	case bc.I32:
-		return value{typ: t, i: int64(int32(binary.LittleEndian.Uint32(b)))}
-	case bc.U32:
-		return value{typ: t, i: int64(binary.LittleEndian.Uint32(b))}
-	case bc.F32:
-		return value{typ: t, f: float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))}
-	case bc.F64:
-		return value{typ: t, f: math.Float64frombits(binary.LittleEndian.Uint64(b))}
-	}
-	return value{typ: t, i: int64(binary.LittleEndian.Uint64(b))} // I64, U64
-}
-
-// writeScalar encodes v into the w.Size() bytes of b.
-func writeScalar(b []byte, w bc.Width, v value) {
-	switch w {
-	case bc.I8, bc.U8:
-		b[0] = byte(v.i)
-	case bc.I16, bc.U16:
-		binary.LittleEndian.PutUint16(b, uint16(v.i))
-	case bc.I32, bc.U32:
-		binary.LittleEndian.PutUint32(b, uint32(v.i))
-	case bc.F32:
-		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(v.f)))
-	case bc.F64:
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v.f))
-	default: // I64, U64
-		binary.LittleEndian.PutUint64(b, uint64(v.i))
-	}
-}
-
-// incr is addScalar for ++ and -- on an lvalue of width w. A pointer's
-// width is Generic: it steps by its element size on the generic path.
-func (m *Machine) incr(v value, w bc.Width, delta int32) value {
-	switch w {
-	case bc.Generic:
-		return m.addScalar(v, int64(delta))
-	case bc.F32:
-		return value{typ: v.typ, f: float64(float32(v.f + float64(delta)))}
-	case bc.F64:
-		return value{typ: v.typ, f: v.f + float64(delta)}
-	}
-	return value{typ: v.typ, i: w.Trunc(v.i + int64(delta))}
-}
-
-// arith is binop for two arithmetic operands whose usual-arithmetic
-// type the lowering resolved: ct, of width w.
-func (m *Machine) arith(op cast.BinaryOp, w bc.Width, ct *ctypes.Type, l, r value) value {
-	if w == bc.F32 || w == bc.F64 {
-		lf, rf := toF(l), toF(r)
-		var f float64
-		switch op {
-		case cast.Add:
-			f = lf + rf
-		case cast.Sub:
-			f = lf - rf
-		case cast.Mul:
-			f = lf * rf
-		case cast.Div:
-			f = lf / rf
-		case cast.Lt:
-			return boolValue(lf < rf)
-		case cast.Gt:
-			return boolValue(lf > rf)
-		case cast.Le:
-			return boolValue(lf <= rf)
-		case cast.Ge:
-			return boolValue(lf >= rf)
-		case cast.Eq:
-			return boolValue(lf == rf)
-		case cast.Ne:
-			return boolValue(lf != rf)
-		default:
-			m.fail("invalid floating operation %s", op)
-		}
-		if w == bc.F32 {
-			f = float64(float32(f))
-		}
-		return value{typ: ct, f: f}
-	}
-	li, ri := w.Trunc(l.i), w.Trunc(r.i)
-	unsigned := w == bc.U32 || w == bc.U64
-	var v int64
-	switch op {
-	case cast.Add:
-		v = li + ri
-	case cast.Sub:
-		v = li - ri
-	case cast.Mul:
-		v = li * ri
-	case cast.Div:
-		if ri == 0 {
-			m.fail("integer division by zero")
-		}
-		switch {
-		case unsigned:
-			v = int64(uint64(li) / uint64(ri))
-		case li == math.MinInt64 && ri == -1:
-			v = li
-		default:
-			v = li / ri
-		}
-	case cast.Rem:
-		if ri == 0 {
-			m.fail("integer remainder by zero")
-		}
-		switch {
-		case unsigned:
-			v = int64(uint64(li) % uint64(ri))
-		case li == math.MinInt64 && ri == -1:
-			v = 0
-		default:
-			v = li % ri
-		}
-	case cast.And:
-		v = li & ri
-	case cast.Or:
-		v = li | ri
-	case cast.Xor:
-		v = li ^ ri
-	case cast.Shl:
-		v = li << (uint64(ri) & 63)
-	case cast.Shr:
-		switch s := uint64(ri) & 63; w {
-		case bc.U32:
-			v = int64(uint32(li) >> s)
-		case bc.U64:
-			v = int64(uint64(li) >> s)
-		default:
-			v = li >> s
-		}
-	case cast.Lt, cast.Gt, cast.Le, cast.Ge, cast.Eq, cast.Ne:
-		if unsigned {
-			return boolValue(cmpInt(op, uint64(li), uint64(ri)))
-		}
-		switch op {
-		case cast.Lt:
-			return boolValue(li < ri)
-		case cast.Gt:
-			return boolValue(li > ri)
-		case cast.Le:
-			return boolValue(li <= ri)
-		case cast.Ge:
-			return boolValue(li >= ri)
-		case cast.Eq:
-			return boolValue(li == ri)
-		}
-		return boolValue(li != ri)
-	default:
-		m.fail("interp: unhandled binary %s", op)
-	}
-	return value{typ: ct, i: w.Trunc(v)}
-}
-
-// boolValue is a comparison's result: int 0 or 1.
-func boolValue(b bool) value { return value{typ: ctypes.IntType, i: b2i(b)} }

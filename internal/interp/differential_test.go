@@ -176,3 +176,66 @@ int main(void) {
 		}
 	}
 }
+
+// TestDifferentialTypeGrid runs every binary operator, compound
+// assignment, increment and conditional on every pair of arithmetic
+// types under both engines and compares what each statement printed.
+// The bytecode resolves these types at lowering, the tree walker from
+// the operand values, so a type the lowering gets wrong shows up as a
+// line that differs.
+func TestDifferentialTypeGrid(t *testing.T) {
+	types := []struct{ name, init string }{
+		{"char", "100"}, {"unsigned char", "200"}, {"short", "30000"},
+		{"unsigned short", "60000"}, {"int", "2000000000"}, {"unsigned", "4000000000u"},
+		{"long", "9000000000000000000L"}, {"unsigned long", "-3"},
+		{"float", "16777217"}, {"double", "0.1"},
+	}
+	intOps := []string{"%", "&", "|", "^", "<<", ">>"}
+	ops := []string{"+", "-", "*", "/", "<", ">", "<=", ">=", "==", "!="}
+	var src strings.Builder
+	src.WriteString("int main(void) {\n\tint k = 1;\n")
+	for i, l := range types {
+		fmt.Fprintf(&src, "\t%s a%d;\n\t%s b%d;\n", l.name, i, l.name, i)
+	}
+	var stmts []string
+	for i, l := range types {
+		stmts = append(stmts, fmt.Sprintf(`a%d = %s; printf("%%f %%f %%f %%f\n", (double)(a%d++), (double)(++a%d), (double)(a%d--), (double)(--a%d));`,
+			i, l.init, i, i, i, i))
+		for j, r := range types {
+			both := ops
+			if !strings.Contains(l.name+r.name, "float") && !strings.Contains(l.name+r.name, "double") {
+				both = append(append([]string{}, ops...), intOps...)
+			}
+			for _, op := range both {
+				stmts = append(stmts, fmt.Sprintf(`a%d = %s; b%d = %s; printf("%%f\n", (double)(a%d %s b%d));`,
+					i, l.init, j, r.init, i, op, j))
+				if len(op) == 1 || op == "<<" || op == ">>" {
+					stmts = append(stmts, fmt.Sprintf(`printf("%%f %%f\n", (double)(a%d %s= b%d), (double)a%d);`,
+						i, op, j, i))
+				}
+			}
+			stmts = append(stmts, fmt.Sprintf(`printf("%%f\n", (double)(k ? a%d : b%d));`, i, j))
+		}
+	}
+	for _, s := range stmts {
+		src.WriteString("\t" + s + "\n")
+	}
+	src.WriteString("\treturn 0;\n}\n")
+	cp := compile(t, src.String())
+	var outs [2][]string
+	for n, e := range engines {
+		res, err := e.run(cp, interp.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		outs[n] = strings.Split(string(res.Output), "\n")
+	}
+	if len(outs[0]) != len(outs[1]) {
+		t.Fatalf("%d lines under bytecode, %d under reference", len(outs[0]), len(outs[1]))
+	}
+	for i := range outs[0] {
+		if outs[0][i] != outs[1][i] {
+			t.Errorf("%s\nbytecode: %s\nreference: %s", stmts[i], outs[0][i], outs[1][i])
+		}
+	}
+}

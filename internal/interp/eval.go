@@ -3,6 +3,7 @@ package interp
 import (
 	"math"
 
+	"staticest/internal/bc"
 	"staticest/internal/cast"
 	"staticest/internal/ctypes"
 )
@@ -22,7 +23,7 @@ var (
 	voidPtrType = ctypes.PointerTo(ctypes.VoidType)
 )
 
-func intValue(v int64, t *ctypes.Type) value { return value{typ: t, i: truncInt(v, t)} }
+func intValue(v int64, t *ctypes.Type) value { return value{typ: t, i: bc.WidthOf(t).Trunc(v)} }
 func floatValue(v float64, t *ctypes.Type) value {
 	if t.Kind == ctypes.Float {
 		v = float64(float32(v))
@@ -35,26 +36,6 @@ func float32Bits(f float32) uint32     { return math.Float32bits(f) }
 func float64Bits(f float64) uint64     { return math.Float64bits(f) }
 func float32FromBits(b uint32) float32 { return math.Float32frombits(b) }
 func float64FromBits(b uint64) float64 { return math.Float64frombits(b) }
-
-// truncInt reduces v to the width and signedness of integer type t.
-func truncInt(v int64, t *ctypes.Type) int64 {
-	switch t.Kind {
-	case ctypes.Char:
-		return int64(int8(v))
-	case ctypes.UChar:
-		return int64(uint8(v))
-	case ctypes.Short:
-		return int64(int16(v))
-	case ctypes.UShort:
-		return int64(uint16(v))
-	case ctypes.Int:
-		return int64(int32(v))
-	case ctypes.UInt:
-		return int64(uint32(v))
-	default: // Long, ULong, Ptr
-		return v
-	}
-}
 
 func isTrue(v value) bool {
 	if v.typ.IsFloat() {
@@ -330,14 +311,23 @@ func (m *Machine) evalUnary(fr *frame, x *cast.Unary) value {
 // addScalar adds delta to an integer, float, or pointer value (pointer
 // steps by element size).
 func (m *Machine) addScalar(v value, delta int64) value {
-	switch {
-	case v.typ.IsFloat():
-		return floatValue(v.f+float64(delta), v.typ)
-	case v.typ.Kind == ctypes.Ptr:
-		return ptrValue(uint64(v.i+delta*v.typ.Elem.Size()), v.typ)
-	default:
-		return intValue(v.i+delta, v.typ)
+	return incr(v, bc.IncWidth(v.typ), delta)
+}
+
+// incr is addScalar for a value of width w, as ++ and -- lower it: a
+// pointer's width is Generic, and it steps by its element size.
+func incr(v value, w bc.Width, delta int64) value {
+	switch w {
+	case bc.F32:
+		return value{typ: v.typ, f: float64(float32(v.f + float64(delta)))}
+	case bc.F64:
+		return value{typ: v.typ, f: v.f + float64(delta)}
+	case bc.Generic:
+		if v.typ.Kind == ctypes.Ptr {
+			return ptrValue(uint64(v.i+delta*v.typ.Elem.Size()), v.typ)
+		}
 	}
+	return value{typ: v.typ, i: w.Trunc(v.i + delta)}
 }
 
 func (m *Machine) evalBinary(fr *frame, x *cast.Binary) value {
@@ -374,110 +364,122 @@ func (m *Machine) binop(op cast.BinaryOp, l, r value) value {
 	}
 
 	ct := ctypes.UsualArith(l.typ, r.typ)
-	if ct.IsFloat() {
+	return m.arith(op, bc.WidthOf(ct), ct, l, r)
+}
+
+// arith is binop for two arithmetic operands whose usual-arithmetic
+// type is ct, of width w. The bytecode calls it directly when the
+// lowering resolved ct.
+func (m *Machine) arith(op cast.BinaryOp, w bc.Width, ct *ctypes.Type, l, r value) value {
+	if w == bc.F32 || w == bc.F64 {
 		lf, rf := toF(l), toF(r)
+		var f float64
 		switch op {
 		case cast.Add:
-			return floatValue(lf+rf, ct)
+			f = lf + rf
 		case cast.Sub:
-			return floatValue(lf-rf, ct)
+			f = lf - rf
 		case cast.Mul:
-			return floatValue(lf*rf, ct)
+			f = lf * rf
 		case cast.Div:
-			return floatValue(lf/rf, ct)
+			f = lf / rf
 		case cast.Lt:
-			return intValue(b2i(lf < rf), ctypes.IntType)
+			return boolValue(lf < rf)
 		case cast.Gt:
-			return intValue(b2i(lf > rf), ctypes.IntType)
+			return boolValue(lf > rf)
 		case cast.Le:
-			return intValue(b2i(lf <= rf), ctypes.IntType)
+			return boolValue(lf <= rf)
 		case cast.Ge:
-			return intValue(b2i(lf >= rf), ctypes.IntType)
+			return boolValue(lf >= rf)
 		case cast.Eq:
-			return intValue(b2i(lf == rf), ctypes.IntType)
+			return boolValue(lf == rf)
 		case cast.Ne:
-			return intValue(b2i(lf != rf), ctypes.IntType)
+			return boolValue(lf != rf)
+		default:
+			m.fail("invalid floating operation %s", op)
 		}
-		m.fail("invalid floating operation %s", op)
+		if w == bc.F32 {
+			f = float64(float32(f))
+		}
+		return value{typ: ct, f: f}
 	}
-
-	li := truncInt(l.i, ct)
-	ri := truncInt(r.i, ct)
-	unsigned := ct.IsUnsigned()
+	li, ri := w.Trunc(l.i), w.Trunc(r.i)
+	unsigned := w == bc.U32 || w == bc.U64
+	var v int64
 	switch op {
 	case cast.Add:
-		return intValue(li+ri, ct)
+		v = li + ri
 	case cast.Sub:
-		return intValue(li-ri, ct)
+		v = li - ri
 	case cast.Mul:
-		return intValue(li*ri, ct)
+		v = li * ri
 	case cast.Div:
 		if ri == 0 {
 			m.fail("integer division by zero")
 		}
-		if unsigned {
-			return intValue(int64(uint64(li)/uint64(ri)), ct)
+		switch {
+		case unsigned:
+			v = int64(uint64(li) / uint64(ri))
+		case li == math.MinInt64 && ri == -1:
+			v = li
+		default:
+			v = li / ri
 		}
-		if li == math.MinInt64 && ri == -1 {
-			return intValue(li, ct)
-		}
-		return intValue(li/ri, ct)
 	case cast.Rem:
 		if ri == 0 {
 			m.fail("integer remainder by zero")
 		}
-		if unsigned {
-			return intValue(int64(uint64(li)%uint64(ri)), ct)
+		switch {
+		case unsigned:
+			v = int64(uint64(li) % uint64(ri))
+		case li == math.MinInt64 && ri == -1:
+			v = 0
+		default:
+			v = li % ri
 		}
-		if li == math.MinInt64 && ri == -1 {
-			return intValue(0, ct)
-		}
-		return intValue(li%ri, ct)
 	case cast.And:
-		return intValue(li&ri, ct)
+		v = li & ri
 	case cast.Or:
-		return intValue(li|ri, ct)
+		v = li | ri
 	case cast.Xor:
-		return intValue(li^ri, ct)
+		v = li ^ ri
 	case cast.Shl:
-		return intValue(li<<(uint64(ri)&63), ct)
+		v = li << (uint64(ri) & 63)
 	case cast.Shr:
-		if unsigned {
-			// Width-aware logical shift.
-			switch ct.Kind {
-			case ctypes.UInt:
-				return intValue(int64(uint32(li)>>(uint64(ri)&63)), ct)
-			case ctypes.ULong:
-				return intValue(int64(uint64(li)>>(uint64(ri)&63)), ct)
-			default:
-				return intValue(int64(uint64(truncInt(li, ct))>>(uint64(ri)&63)), ct)
-			}
+		// Logical for an unsigned type, at its width.
+		switch s := uint64(ri) & 63; w {
+		case bc.U32:
+			v = int64(uint32(li) >> s)
+		case bc.U64:
+			v = int64(uint64(li) >> s)
+		default:
+			v = li >> s
 		}
-		return intValue(li>>(uint64(ri)&63), ct)
 	case cast.Lt, cast.Gt, cast.Le, cast.Ge, cast.Eq, cast.Ne:
 		if unsigned {
-			return intValue(b2i(cmpInt(op, uint64(li), uint64(ri))), ctypes.IntType)
+			return boolValue(cmpInt(op, uint64(li), uint64(ri)))
 		}
-		var res bool
 		switch op {
 		case cast.Lt:
-			res = li < ri
+			return boolValue(li < ri)
 		case cast.Gt:
-			res = li > ri
+			return boolValue(li > ri)
 		case cast.Le:
-			res = li <= ri
+			return boolValue(li <= ri)
 		case cast.Ge:
-			res = li >= ri
+			return boolValue(li >= ri)
 		case cast.Eq:
-			res = li == ri
-		case cast.Ne:
-			res = li != ri
+			return boolValue(li == ri)
 		}
-		return intValue(b2i(res), ctypes.IntType)
+		return boolValue(li != ri)
+	default:
+		m.fail("interp: unhandled binary %s", op)
 	}
-	m.fail("interp: unhandled binary %s", op)
-	return value{}
+	return value{typ: ct, i: w.Trunc(v)}
 }
+
+// boolValue is a comparison's result: int 0 or 1.
+func boolValue(b bool) value { return value{typ: ctypes.IntType, i: b2i(b)} }
 
 func cmpInt(op cast.BinaryOp, a, b uint64) bool {
 	switch op {

@@ -335,46 +335,39 @@ int main(void) {
 }
 
 func TestRuntimeErrors(t *testing.T) {
-	cases := []struct {
-		name, src, wantSub string
-	}{
-		{"null deref", `int main(void){ int *p = 0; return *p; }`, "null pointer"},
-		{"div zero", `int main(void){ int z = 0; return 5 / z; }`, "division by zero"},
+	runEngineCases(t, []engineCase{
+		{name: "null deref", src: `int main(void){ int *p = 0; return *p; }`,
+			err: "runtime error at test.c:1:36: null pointer dereference"},
+		{name: "div zero", src: `int main(void){ int z = 0; return 5 / z; }`,
+			err: "runtime error at test.c:1:37: integer division by zero"},
 		// The global lives in its own segment, so the overrun faults
 		// (stack locals share one segment, as on real hardware).
-		{"oob", `int a[3]; int main(void){ return a[10]; }`, "out-of-bounds"},
-		{"abort", `int main(void){ abort(); return 0; }`, "abort"},
-		{"use after free", `int main(void){ int *p = (int*)malloc(8); free(p); return *p; }`, "freed"},
+		{name: "oob", src: `int a[3]; int main(void){ return a[10]; }`,
+			err: `runtime error at test.c:1:35: out-of-bounds access: offset 40 size 4 in "a" (12 bytes)`},
+		{name: "abort", src: `int main(void){ abort(); return 0; }`,
+			err: "runtime error at test.c:1:22: abort() called"},
+		{name: "use after free", src: `int main(void){ int *p = (int*)malloc(8); free(p); return *p; }`,
+			err: "runtime error at test.c:1:59: use of freed memory (malloc)"},
 		// The factors multiply to 2^64, which wraps to 0: each one is
 		// bounded before the product is taken.
-		{"calloc overflow", `int main(void){ char *p = (char*)calloc(4611686018427387904L, 4); p[0] = 1; return 0; }`, "calloc"},
+		{name: "calloc overflow", src: `int main(void){ char *p = (char*)calloc(4611686018427387904L, 4); p[0] = 1; return 0; }`,
+			err: "runtime error at test.c:1:40: calloc of 4611686018427387904 elements of 4 bytes"},
 		// off+size would wrap past 2^63.
-		{"huge length", `int main(void){ char c; char *p = &c; memset(p + 16, 0, 9223372036854775807L); return 0; }`,
-			"out-of-bounds access: offset 16 size 9223372036854775807"},
-		{"step budget", `int main(void){ for(;;); return 0; }`, "step budget"},
-		{"deep recursion", `int f(int n){ return f(n+1); } int main(void){ return f(0); }`, ""},
+		{name: "huge length", src: `int main(void){ char c; char *p = &c; memset(p + 16, 0, 9223372036854775807L); return 0; }`,
+			err: `runtime error at test.c:1:45: out-of-bounds access: offset 16 size 9223372036854775807 in "stack" (8388608 bytes)`},
+		{name: "step budget", src: `int main(void){ for(;;); return 0; }`,
+			err: "runtime error: step budget exceeded (1000000 block executions)"},
+		{name: "deep recursion", src: `int f(int n){ return f(n+1); } int main(void){ return f(0); }`,
+			err: "runtime error at test.c:1:23: call depth exceeded (runaway recursion in f)"},
 		// Only the start of a live block can be reallocated; copying
 		// from past the block's end was a Go panic.
-		{"realloc past the block", `int main(void){ char *p = (char*)malloc(10); p = (char*)realloc(p + 100, 20); return 0; }`,
-			"runtime error at test.c:1:64: realloc of a pointer 100 bytes into a heap block"},
-		{"realloc inside the block", `int main(void){ char *p = (char*)malloc(10); p = (char*)realloc(p + 3, 20); return 0; }`,
-			"realloc of a pointer 3 bytes into a heap block"},
-		{"realloc after free", `int main(void){ char *p = (char*)malloc(10); free(p); p = (char*)realloc(p, 20); return 0; }`,
-			"use of freed memory"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cp := compile(t, tc.src)
-			for _, e := range engines {
-				_, err := e.run(cp, interp.Options{MaxSteps: 1_000_000})
-				if err == nil {
-					t.Errorf("%s: expected runtime error", e.name)
-				} else if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
-					t.Errorf("%s: error %q does not mention %q", e.name, err, tc.wantSub)
-				}
-			}
-		})
-	}
+		{name: "realloc past the block", src: `int main(void){ char *p = (char*)malloc(10); p = (char*)realloc(p + 100, 20); return 0; }`,
+			err: "runtime error at test.c:1:64: realloc of a pointer 100 bytes into a heap block"},
+		{name: "realloc inside the block", src: `int main(void){ char *p = (char*)malloc(10); p = (char*)realloc(p + 3, 20); return 0; }`,
+			err: "runtime error at test.c:1:64: realloc of a pointer 3 bytes into a heap block"},
+		{name: "realloc after free", src: `int main(void){ char *p = (char*)malloc(10); free(p); p = (char*)realloc(p, 20); return 0; }`,
+			err: "runtime error at test.c:1:73: use of freed memory (malloc)"},
+	})
 }
 
 func TestBranchProfileCounts(t *testing.T) {

@@ -537,75 +537,74 @@ func (m *Machine) traceAccess(e cast.Expr, addr uint64, write bool) {
 
 // --- loads and stores -------------------------------------------------------
 
-func (m *Machine) loadInt(p uint64, t *ctypes.Type) int64 {
-	b := m.checkedSlice(p, t.Size())
-	switch t.Kind {
-	case ctypes.Char:
-		return int64(int8(b[0]))
-	case ctypes.UChar:
-		return int64(b[0])
-	case ctypes.Short:
-		return int64(int16(binary.LittleEndian.Uint16(b)))
-	case ctypes.UShort:
-		return int64(binary.LittleEndian.Uint16(b))
-	case ctypes.Int:
-		return int64(int32(binary.LittleEndian.Uint32(b)))
-	case ctypes.UInt:
-		return int64(binary.LittleEndian.Uint32(b))
-	case ctypes.Long, ctypes.ULong, ctypes.Ptr:
-		return int64(binary.LittleEndian.Uint64(b))
-	}
-	m.fail("loadInt of non-integer type %s", t)
-	return 0
-}
-
-func (m *Machine) storeInt(p uint64, t *ctypes.Type, v int64) {
-	b := m.checkedSlice(p, t.Size())
-	switch t.Kind {
-	case ctypes.Char, ctypes.UChar:
-		b[0] = byte(v)
-	case ctypes.Short, ctypes.UShort:
-		binary.LittleEndian.PutUint16(b, uint16(v))
-	case ctypes.Int, ctypes.UInt:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	case ctypes.Long, ctypes.ULong, ctypes.Ptr:
-		binary.LittleEndian.PutUint64(b, uint64(v))
-	default:
-		m.fail("storeInt of non-integer type %s", t)
-	}
-}
-
 func (m *Machine) load(p uint64, t *ctypes.Type) value {
 	switch t.Kind {
-	case ctypes.Float:
-		b := m.checkedSlice(p, 4)
-		return floatValue(float64(float32FromBits(binary.LittleEndian.Uint32(b))), t)
-	case ctypes.Double:
-		b := m.checkedSlice(p, 8)
-		return floatValue(float64FromBits(binary.LittleEndian.Uint64(b)), t)
 	case ctypes.Struct:
 		// Struct values are represented by their address.
 		return value{typ: t, i: int64(p)}
 	case ctypes.Array:
 		// Arrays decay to a pointer to their first element.
 		return value{typ: ctypes.PointerTo(t.Elem), i: int64(p)}
-	default:
-		return value{typ: t, i: m.loadInt(p, t)}
 	}
+	b := m.checkedSlice(p, t.Size())
+	w := bc.WidthOf(t)
+	if w == bc.Generic {
+		m.fail("loadInt of non-integer type %s", t)
+	}
+	return readScalar(b, w, t)
 }
 
 func (m *Machine) store(p uint64, t *ctypes.Type, v value) {
-	switch t.Kind {
-	case ctypes.Float:
-		b := m.checkedSlice(p, 4)
-		binary.LittleEndian.PutUint32(b, float32Bits(float32(v.f)))
-	case ctypes.Double:
-		b := m.checkedSlice(p, 8)
-		binary.LittleEndian.PutUint64(b, float64Bits(v.f))
-	case ctypes.Struct:
+	if t.Kind == ctypes.Struct {
 		m.copyMem(p, uint64(v.i), t.Size())
-	default:
-		m.storeInt(p, t, v.i)
+		return
+	}
+	b := m.checkedSlice(p, t.Size())
+	w := bc.WidthOf(t)
+	if w == bc.Generic {
+		m.fail("storeInt of non-integer type %s", t)
+	}
+	writeScalar(b, w, v)
+}
+
+// readScalar decodes the w.Size() bytes of b as a value of type t.
+func readScalar(b []byte, w bc.Width, t *ctypes.Type) value {
+	switch w {
+	case bc.I8:
+		return value{typ: t, i: int64(int8(b[0]))}
+	case bc.U8:
+		return value{typ: t, i: int64(b[0])}
+	case bc.I16:
+		return value{typ: t, i: int64(int16(binary.LittleEndian.Uint16(b)))}
+	case bc.U16:
+		return value{typ: t, i: int64(binary.LittleEndian.Uint16(b))}
+	case bc.I32:
+		return value{typ: t, i: int64(int32(binary.LittleEndian.Uint32(b)))}
+	case bc.U32:
+		return value{typ: t, i: int64(binary.LittleEndian.Uint32(b))}
+	case bc.F32:
+		return value{typ: t, f: float64(float32FromBits(binary.LittleEndian.Uint32(b)))}
+	case bc.F64:
+		return value{typ: t, f: float64FromBits(binary.LittleEndian.Uint64(b))}
+	}
+	return value{typ: t, i: int64(binary.LittleEndian.Uint64(b))} // I64, U64
+}
+
+// writeScalar encodes v into the w.Size() bytes of b.
+func writeScalar(b []byte, w bc.Width, v value) {
+	switch w {
+	case bc.I8, bc.U8:
+		b[0] = byte(v.i)
+	case bc.I16, bc.U16:
+		binary.LittleEndian.PutUint16(b, uint16(v.i))
+	case bc.I32, bc.U32:
+		binary.LittleEndian.PutUint32(b, uint32(v.i))
+	case bc.F32:
+		binary.LittleEndian.PutUint32(b, float32Bits(float32(v.f)))
+	case bc.F64:
+		binary.LittleEndian.PutUint64(b, float64Bits(v.f))
+	default: // I64, U64
+		binary.LittleEndian.PutUint64(b, uint64(v.i))
 	}
 }
 

@@ -1,7 +1,6 @@
 package interp_test
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,17 +10,58 @@ import (
 	"staticest/internal/suite"
 )
 
+// engineCase is a program and what it must do under both engines.
+type engineCase struct {
+	name, src string
+	exit      int    // expected exit code when err is empty
+	out       string // expected output when err is empty
+	err       string // the whole expected error text, position included
+	steps     int64  // expected step count, when non-zero
+}
+
+// engines are the two entries every engine case runs under.
+var engines = []struct {
+	name string
+	run  func(*cfg.Program, interp.Options) (*interp.Result, error)
+}{{"bytecode", interp.Run}, {"reference", interp.RunReference}}
+
+// runEngineCases runs each case under both engines with a budget of a
+// million steps.
+func runEngineCases(t *testing.T, cases []engineCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := compile(t, tc.src)
+			for _, e := range engines {
+				res, err := e.run(cp, interp.Options{MaxSteps: 1_000_000})
+				switch {
+				case tc.err != "":
+					if err == nil || err.Error() != tc.err {
+						t.Errorf("%s: error %v, want %q", e.name, err, tc.err)
+					}
+				case err != nil:
+					t.Errorf("%s: %v", e.name, err)
+				default:
+					if res.ExitCode != tc.exit {
+						t.Errorf("%s: exit %d, want %d", e.name, res.ExitCode, tc.exit)
+					}
+					if string(res.Output) != tc.out {
+						t.Errorf("%s: output %q, want %q", e.name, res.Output, tc.out)
+					}
+					if tc.steps != 0 && res.Steps != tc.steps {
+						t.Errorf("%s: %d steps, want %d", e.name, res.Steps, tc.steps)
+					}
+				}
+			}
+		})
+	}
+}
+
 // stackCases pin the simulated stack's observable behaviour at its
 // edges: frames, dangling and far reads, faults at its end, and
 // builtins and struct copies whose source lies deep in an untouched
-// region. Every case runs under both engines, and each result below was
-// recorded before the stack's backing array grew on demand.
-var stackCases = []struct {
-	name, src string
-	exit      int    // expected exit code when err is empty
-	err       string // expected error substring
-	steps     int64  // expected step count, when non-zero
-}{
+// region. Each result below was recorded before the stack's backing
+// array grew on demand.
+var stackCases = []engineCase{
 	{name: "overflow", src: `
 int f(int n) {
 	char buf[1000];
@@ -29,7 +69,7 @@ int f(int n) {
 	return n == 0 ? 0 : f(n - 1) + buf[999];
 }
 int main(void) { return f(100000); }`,
-		err: "simulated stack overflow in f"},
+		err: "runtime error at test.c:5:23: simulated stack overflow in f"},
 	{name: "dangling", src: `
 int *g(void) { int x; x = 42; return &x; }
 int main(void) { int *p; p = g(); return *p; }`,
@@ -39,16 +79,16 @@ int main(void) { char c; char *p; p = &c; return p[4000000] + 7; }`,
 		exit: 7},
 	{name: "past the end", src: `
 int main(void) { char c; char *p; p = &c; return p[8388608]; }`,
-		err: `out-of-bounds access: offset 8388608 size 1 in "stack" (8388608 bytes)`},
+		err: `runtime error at test.c:2:51: out-of-bounds access: offset 8388608 size 1 in "stack" (8388608 bytes)`},
 	{name: "strlen untouched", src: `
 int main(void) { char c; char *p; p = &c; return strlen(p + 100000) + 3; }`,
 		exit: 3},
 	{name: "strlen at the end", src: `
 int main(void) { char c; char *p; p = &c; return strlen(p + 8388608); }`,
-		err: `unterminated string in "stack"`},
+		err: `runtime error at test.c:2:56: unterminated string in "stack"`},
 	{name: "strlen past the end", src: `
 int main(void) { char c; char *p; p = &c; return strlen(p + 8388609); }`,
-		err: "string pointer out of bounds"},
+		err: "runtime error at test.c:2:56: string pointer out of bounds"},
 	// Each frame writes its buffer before the deeper frames grow the
 	// stack and reads it back after they return.
 	{name: "3000 frames", src: `
@@ -111,7 +151,7 @@ int main(void) {
 	// Both pointers are bad: the destination's fault is the one reported.
 	{name: "memcpy fault order", src: `
 int main(void) { char c; char *p; p = &c; memcpy(0, p + 9000000, 4); return 0; }`,
-		err: "null pointer dereference"},
+		err: "runtime error at test.c:2:49: null pointer dereference"},
 	{name: "memset", src: `
 int main(void) {
 	char c; char *p; p = &c;
@@ -129,34 +169,7 @@ int main(void) {
 		exit: 12},
 }
 
-// engines are the two entries every stack case runs under.
-var engines = []struct {
-	name string
-	run  func(*cfg.Program, interp.Options) (*interp.Result, error)
-}{{"bytecode", interp.Run}, {"reference", interp.RunReference}}
-
-func TestStackEdgeCases(t *testing.T) {
-	for _, tc := range stackCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cp := compile(t, tc.src)
-			for _, e := range engines {
-				res, err := e.run(cp, interp.Options{MaxSteps: 1_000_000})
-				switch {
-				case tc.err != "":
-					if err == nil || !strings.Contains(err.Error(), tc.err) {
-						t.Errorf("%s: error %v, want it to contain %q", e.name, err, tc.err)
-					}
-				case err != nil:
-					t.Errorf("%s: %v", e.name, err)
-				case res.ExitCode != tc.exit:
-					t.Errorf("%s: exit %d, want %d", e.name, res.ExitCode, tc.exit)
-				case tc.steps != 0 && res.Steps != tc.steps:
-					t.Errorf("%s: %d steps, want %d", e.name, res.Steps, tc.steps)
-				}
-			}
-		})
-	}
-}
+func TestStackEdgeCases(t *testing.T) { runEngineCases(t, stackCases) }
 
 // spanSink keeps the span events of one observer.
 type spanSink struct {

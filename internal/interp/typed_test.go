@@ -1,23 +1,13 @@
 package interp_test
 
-import (
-	"testing"
-
-	"staticest/internal/interp"
-)
+import "testing"
 
 // typedCases pin the C semantics the bytecode resolves from static
 // types at lowering: access widths, usual-arithmetic types, and the
 // conversions it leaves out. Pointer arithmetic, which stays on the
-// generic path, is here as a control. Every case runs under both
-// engines; each expected result was recorded before the lowering
-// resolved any type.
-var typedCases = []struct {
-	name, src string
-	exit      int
-	out       string
-	err       string // the whole error text, position included
-}{
+// generic path, is here as a control. Each expected result was
+// recorded before the lowering resolved any type.
+var typedCases = []engineCase{
 	{name: "int32 wrap", src: `
 int main(void) {
 	int a = 2147483647, b = -2147483647 - 1, c = 65536, d = 46341;
@@ -67,6 +57,25 @@ int main(void) {
 	printf("%d %d %d %d\n", c, uc, s, us);
 	return c;
 }`, exit: -128, out: "-128 0 -32768 65535\n"},
+	// A compound assignment leaves its left operand's type: two chars
+	// add as ints, and the sum is narrowed before it is used.
+	{name: "narrow compound value", src: `
+int main(void) {
+	char c = 100, d = 100;
+	unsigned char u = 255, one = 1;
+	short s[2];
+	unsigned char *p;
+	int n = 0;
+	s[0] = 20000; s[1] = 20000;
+	printf("%d %d\n", c += d, s[0] += s[1]);
+	if (u += one)
+		n = n + 1;
+	u = 255;
+	p = &u;
+	if (*p += one)
+		n = n + 2;
+	return n * 1000 + c;
+}`, exit: -56, out: "-56 -25536\n"},
 	{name: "int and double", src: `
 int main(void) {
 	int i = 3;
@@ -125,28 +134,4 @@ int main(void) {
 }`, exit: 45, out: "45 42 98 5 -126\n"},
 }
 
-func TestTypedPaths(t *testing.T) {
-	for _, tc := range typedCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cp := compile(t, tc.src)
-			for _, e := range engines {
-				res, err := e.run(cp, interp.Options{MaxSteps: 1_000_000})
-				switch {
-				case tc.err != "":
-					if err == nil || err.Error() != tc.err {
-						t.Errorf("%s: error %v, want %q", e.name, err, tc.err)
-					}
-				case err != nil:
-					t.Errorf("%s: %v", e.name, err)
-				default:
-					if res.ExitCode != tc.exit {
-						t.Errorf("%s: exit %d, want %d", e.name, res.ExitCode, tc.exit)
-					}
-					if string(res.Output) != tc.out {
-						t.Errorf("%s: output %q, want %q", e.name, res.Output, tc.out)
-					}
-				}
-			}
-		})
-	}
-}
+func TestTypedPaths(t *testing.T) { runEngineCases(t, typedCases) }
