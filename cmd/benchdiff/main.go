@@ -6,7 +6,7 @@
 // regresses past the thresholds.
 //
 // Gates:
-//   - ns/op: median regression beyond -ns-threshold (default 15%) fails.
+//   - ns/op: a median regression beyond 15% fails.
 //   - allocs/op: any median increase beyond two allocations fails (the
 //     slack absorbs one-off samples shifted by background GC timing;
 //     real alloc regressions move in much larger steps).
@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	benchdiff [-ns-threshold 0.15] base.bench head.bench
+//	benchdiff base.bench head.bench
 package main
 
 import (
@@ -36,11 +36,9 @@ import (
 )
 
 func main() {
-	nsThreshold := flag.Float64("ns-threshold", 0.15,
-		"maximum tolerated fractional ns/op increase (0.15 = +15%)")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-ns-threshold frac] base.bench head.bench")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff base.bench head.bench")
 		os.Exit(2)
 	}
 	base, err := parseFile(flag.Arg(0))
@@ -53,7 +51,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	regressions := diff(os.Stdout, base, head, *nsThreshold)
+	regressions := diff(os.Stdout, base, head)
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s)\n", regressions)
 		os.Exit(1)
@@ -138,6 +136,10 @@ func median(v []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// nsThreshold is the tolerated fractional increase of the median
+// ns/op (0.15 = +15%).
+const nsThreshold = 0.15
+
 // allocSlack is the tolerated absolute median allocs/op increase;
 // background GC timing can shift an isolated sample by an allocation
 // or two, and real regressions move in far larger steps.
@@ -158,7 +160,7 @@ const (
 const countSuffix = "/run"
 
 // diff prints the comparison table and returns the regression count.
-func diff(w *os.File, base, head map[string]samples, nsThreshold float64) int {
+func diff(w *os.File, base, head map[string]samples) int {
 	names := make([]string, 0, len(base))
 	for n := range base {
 		names = append(names, n)

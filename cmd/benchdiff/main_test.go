@@ -77,10 +77,10 @@ func TestDiffGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	if got := diff(devnull, base, head, 0.15); got != 3 {
+	if got := diff(devnull, base, head); got != 3 {
 		t.Errorf("diff regressions = %d, want 3 (ns/op, allocs/op, missing)", got)
 	}
-	if got := diff(devnull, base, base, 0.15); got != 0 {
+	if got := diff(devnull, base, base); got != 0 {
 		t.Errorf("self-diff regressions = %d, want 0", got)
 	}
 }
@@ -122,7 +122,7 @@ BenchmarkNoBytes-2       10  100 ns/op  5 allocs/op
 	// LargeRise (+20%, +200 kB) and TinyGrows (+1,900%, +1,900 B) fail;
 	// SmallRise (+5%), TinyBench (+900 B), Shrinks, and Outlier (whose
 	// median did not move) pass.
-	if got := diff(devnull, base, head, 0.15); got != 2 {
+	if got := diff(devnull, base, head); got != 2 {
 		t.Errorf("diff regressions = %d, want 2 (LargeRise, TinyGrows)", got)
 	}
 }
@@ -171,7 +171,7 @@ BenchmarkOther-2     10  100 ns/op   10 arc_reduction%  5 allocs/op
 	// Rises (+1 instruction) and Dropped fail; Falls, Same, Outlier
 	// (whose median did not move), New (instrs/run is head-only) and
 	// Other (not a count) pass.
-	if got := diff(devnull, base, head, 0.15); got != 2 {
+	if got := diff(devnull, base, head); got != 2 {
 		t.Errorf("diff regressions = %d, want 2 (Rises, Dropped)", got)
 	}
 }

@@ -285,6 +285,5 @@ type Func struct {
 
 // Module is a whole program lowered for one instrumentation mode.
 type Module struct {
-	Sparse bool
-	Funcs  []Func
+	Funcs []Func
 }

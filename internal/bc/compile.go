@@ -29,7 +29,7 @@ import (
 // operands, which the frontend's ctypes.MaxObjectSize bound rules out —
 // returns an error, and interp.Run reports it.
 func Compile(p *cfg.Program, plan *probes.Plan) (*Module, error) {
-	m := &Module{Sparse: plan != nil, Funcs: make([]Func, len(p.Graphs))}
+	m := &Module{Funcs: make([]Func, len(p.Graphs))}
 	for fi, g := range p.Graphs {
 		var fp *probes.FuncPlan
 		if plan != nil {

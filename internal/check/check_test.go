@@ -3,12 +3,14 @@ package check_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"staticest"
 	"staticest/internal/check"
 	"staticest/internal/gen"
+	"staticest/internal/interp"
 	"staticest/internal/suite"
 )
 
@@ -154,6 +156,82 @@ func TestReuseOracleSuite(t *testing.T) {
 		in := p.Inputs[0]
 		for _, f := range check.ReuseOracle(u, staticest.RunOptions{Args: in.Args, Stdin: in.Stdin}) {
 			t.Errorf("%s: %s", name, f)
+		}
+	}
+}
+
+// TestDiffRuns feeds DiffRuns synthetic results, each a real run with
+// one observable changed, and checks that it reports that difference
+// and no other: a run equal to the reference, or a sparse run whose
+// vector reconstructs the reference's profile, reports nothing.
+func TestDiffRuns(t *testing.T) {
+	u, err := staticest.Compile("diff.c", []byte(`
+int main(void) {
+	int i, s = 0;
+	for (i = 0; i < 6; i++)
+		if (i % 3) s += i;
+	printf("%d\n", s);
+	return s;
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := u.PlanProbes()
+	full, err := u.Run(staticest.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := u.Run(staticest.RunOptions{Instrumentation: staticest.SparseInstrumentation, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := check.DiffRuns(full, full, nil); len(d) > 0 {
+		t.Errorf("a full run against itself: %q", d)
+	}
+	if d := check.DiffRuns(full, sparse, plan); len(d) > 0 {
+		t.Errorf("a sparse run against its full run: %q", d)
+	}
+	if len(sparse.Probes.Counts) == 0 {
+		t.Fatal("the plan placed no probe")
+	}
+	withCounts := func(counts []float64) *staticest.ProbeVector {
+		return &staticest.ProbeVector{Counts: counts, Escapes: sparse.Probes.Escapes}
+	}
+	for _, tc := range []struct {
+		name string
+		run  *staticest.RunResult // the run under test
+		edit func(r *staticest.RunResult)
+		want string // the prefix of every reported line
+	}{
+		{"exit code", full, func(r *staticest.RunResult) { r.ExitCode++ }, "exit code: 12 vs 13"},
+		{"output", full, func(r *staticest.RunResult) { r.Output = []byte("13\n") }, "output differs"},
+		{"steps", full, func(r *staticest.RunResult) { r.Steps++ }, "steps: "},
+		{"memory trace", full, func(r *staticest.RunResult) {
+			r.MemTrace = []interp.MemAccess{{Addr: 1, Ref: 0}}
+		}, "memory trace differs (0 accesses vs 1)"},
+		{"full profile", full, func(r *staticest.RunResult) {
+			r.Profile = r.Profile.Clone()
+			r.Profile.BranchTaken[0]++
+		}, "profile: branch taken 0: "},
+		{"probe vector", sparse, func(r *staticest.RunResult) {
+			counts := slices.Clone(r.Probes.Counts)
+			counts[0]++
+			r.Probes = withCounts(counts)
+		}, "profile: "},
+		{"vector length", sparse, func(r *staticest.RunResult) {
+			r.Probes = withCounts(r.Probes.Counts[:len(r.Probes.Counts)-1])
+		}, "reconstruct: probes: vector has "},
+	} {
+		r := *tc.run
+		tc.edit(&r)
+		d := check.DiffRuns(full, &r, plan)
+		if len(d) == 0 {
+			t.Errorf("%s: no difference reported", tc.name)
+		}
+		for _, line := range d {
+			if !strings.HasPrefix(line, tc.want) {
+				t.Errorf("%s: reported %q, want lines starting %q", tc.name, line, tc.want)
+			}
 		}
 	}
 }

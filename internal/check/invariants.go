@@ -319,7 +319,8 @@ func ProfileInvariants(u *staticest.Unit, res *staticest.RunResult) []Failure {
 	return out
 }
 
-// profileDiffFailures wraps probes.Diff-style mismatch strings.
+// profileDiffFailures wraps mismatch strings (probes.Diff, DiffRuns) as
+// failures of one oracle.
 func profileDiffFailures(oracle string, diffs []string) []Failure {
 	out := make([]Failure, 0, len(diffs))
 	for _, d := range diffs {

@@ -54,36 +54,24 @@ func lowered(p *cfg.Program, plan *probes.Plan, sp *obs.Span) (*bc.Module, error
 func (m *Machine) runBC(mod *bc.Module, args []string) int {
 	m.mod = mod
 	m.vstack = make([]value, 256)
-	argc, argvPtr := m.buildArgv(args)
-	main := m.sem.Main
-	nargs := 0
-	if len(main.Params) >= 1 {
-		m.vstack[m.vsp] = value{typ: ctypes.IntType, i: argc}
-		m.vsp++
-		nargs++
-	}
-	if len(main.Params) >= 2 {
-		m.vstack[m.vsp] = value{
-			typ: ctypes.PointerTo(ctypes.PointerTo(ctypes.CharType)),
-			i:   int64(argvPtr),
-		}
-		m.vsp++
-		nargs++
-	}
-	m.bcCall(main.Obj.FuncIndex, nargs)
+	m.vsp = m.mainArgs(m.vstack, args)
+	m.bcCall(m.sem.Main.Obj.FuncIndex, m.vsp)
 	m.vsp--
 	return int(int32(m.vstack[m.vsp].i))
 }
 
 // bcCall invokes defined function fnIdx with the top nargs operand-stack
 // values as arguments; it pops them and pushes the (converted) return
-// value. It mirrors callFunc effect for effect — invocation counters,
-// frame trace, depth cap, frame placement, zeroing, parameter binding,
-// and return conversion — but allocates nothing: the frame lives on the
-// simulated stack and arguments never leave the operand stack.
+// value. It mirrors callFunc effect for effect — invocation counter,
+// depth cap, frame placement, zeroing, parameter binding, return
+// conversion, and the caller's position restored on return — but
+// allocates nothing: the frame lives on the simulated stack and
+// arguments never leave the operand stack. Under sparse instrumentation
+// it counts no invocation and keeps the frame trace instead.
 func (m *Machine) bcCall(fnIdx, nargs int) {
 	fd := m.sem.Funcs[fnIdx]
 	f := &m.mod.Funcs[fnIdx]
+	pos := m.curPos
 	if m.sparse {
 		m.trace = append(m.trace, probes.Escape{Func: fnIdx, Block: int(f.Entry)})
 	} else {
@@ -109,6 +97,7 @@ func (m *Machine) bcCall(fnIdx, nargs int) {
 
 	m.sp = savedSP
 	m.depth--
+	m.curPos = pos
 	if m.sparse {
 		m.trace = m.trace[:len(m.trace)-1]
 	}

@@ -541,13 +541,7 @@ func (m *Machine) evalCall(fr *frame, x *cast.Call) value {
 		args[i] = m.eval(fr, a)
 	}
 	if x.SiteID >= 0 {
-		if m.sparse {
-			if pi := m.plan.SiteProbe[x.SiteID]; pi >= 0 {
-				m.pv[pi]++
-			}
-		} else {
-			m.prof.CallSiteCounts[x.SiteID]++
-		}
+		m.prof.CallSiteCounts[x.SiteID]++
 	}
 	m.curPos = x.Pos()
 	if builtinName != "" {

@@ -14,10 +14,12 @@ import (
 )
 
 // FuzzInterp fuzzes the bytecode lowering against its reference: for
-// every input that compiles, interp.Run and interp.RunReference run
-// under the same step cap, in full mode and in sparse mode with the
-// unit's probe plan, and must agree on the error text or on every
-// observable check.DiffRuns compares. Most mutated inputs won't compile,
+// every input that compiles, interp.RunReference runs in full mode and
+// interp.Run in full mode and in sparse mode with the unit's probe plan,
+// all under the same step cap, and each bytecode run must agree with
+// the reference on the error text or on every observable
+// check.DiffRuns compares, a sparse run's reconstructed profile
+// included. Most mutated inputs won't compile,
 // and those that do may divide by zero or run out of steps; both entries
 // must then fail the same way. Seeds come from the example corpus and
 // from the generator, whose programs exercise the interpreter far
@@ -54,8 +56,8 @@ func FuzzInterp(f *testing.F) {
 		sparse := full
 		sparse.Instrumentation = staticest.SparseInstrumentation
 		sparse.Plan = u.PlanProbes()
+		ref, refErr := interp.RunReference(u.CFG, full)
 		for _, opts := range []staticest.RunOptions{full, sparse} {
-			ref, refErr := interp.RunReference(u.CFG, opts)
 			got, err := interp.Run(u.CFG, opts)
 			if fmt.Sprint(refErr) != fmt.Sprint(err) {
 				t.Fatalf("instrumentation %d: error: tree %v, bytecode %v", opts.Instrumentation, refErr, err)
@@ -66,7 +68,7 @@ func FuzzInterp(f *testing.F) {
 			if ref == nil || got == nil {
 				t.Fatal("a run returned a nil result and a nil error")
 			}
-			if d := check.DiffRuns(ref, got); len(d) > 0 {
+			if d := check.DiffRuns(ref, got, opts.Plan); len(d) > 0 {
 				t.Fatalf("instrumentation %d: %s", opts.Instrumentation, strings.Join(d, "; "))
 			}
 		}

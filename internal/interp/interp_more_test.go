@@ -337,3 +337,15 @@ func TestFirstLoweringSpan(t *testing.T) {
 		}
 	}
 }
+
+// TestReferenceRunsFullOnly pins that the tree-walking reference runs
+// full instrumentation only: a sparse run is checked against it by
+// reconstructing the run's profile (check.DiffRuns).
+func TestReferenceRunsFullOnly(t *testing.T) {
+	cp := compile(t, `int main(void) { return 0; }`)
+	opts := interp.Options{Instrumentation: interp.SparseInstrumentation, Plan: probes.BuildPlan(cp, nil)}
+	res, err := interp.RunReference(cp, opts)
+	if want := "interp: the reference runs full instrumentation only"; err == nil || err.Error() != want || res != nil {
+		t.Errorf("sparse reference run: result %v, error %v, want error %q", res, err, want)
+	}
+}

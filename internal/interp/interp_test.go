@@ -367,6 +367,26 @@ func TestRuntimeErrors(t *testing.T) {
 			err: "runtime error at test.c:1:64: realloc of a pointer 3 bytes into a heap block"},
 		{name: "realloc after free", src: `int main(void){ char *p = (char*)malloc(10); free(p); p = (char*)realloc(p, 20); return 0; }`,
 			err: "runtime error at test.c:1:73: use of freed memory (malloc)"},
+		// A fault after a call returns reports the call in the caller,
+		// not the callee's last statement (line 2).
+		{name: "fault after a call", src: `int g(void) {
+  return 5;
+}
+int a[3];
+int main(void) {
+  return g() + a[100000000];
+}`,
+			err: `runtime error at test.c:6:11: out-of-bounds access: offset 400000000 size 4 in "a" (12 bytes)`},
+		{name: "divide by a call", src: `int z(void) {
+  return 0;
+}
+int main(void) {
+  int x;
+  x = 1;
+  x /= z();
+  return x;
+}`,
+			err: "runtime error at test.c:7:9: integer division by zero"},
 	})
 }
 

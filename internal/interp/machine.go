@@ -198,10 +198,10 @@ type Machine struct {
 	cycles float64
 	factor []float64 // per-function cost factor
 
-	// Sparse instrumentation state: the probe plan, the counter vector,
-	// and the active-frame trace (one entry per live call, tracking the
-	// frame's current block so an exit() can be reconciled with flow
-	// conservation afterwards).
+	// Sparse instrumentation state, under Run only: the probe plan, the
+	// counter vector, and the active-frame trace (one entry per live
+	// call, tracking the frame's current block so an exit() can be
+	// reconciled with flow conservation afterwards).
 	sparse bool
 	plan   *probes.Plan
 	pv     []float64
@@ -254,10 +254,16 @@ func Run(p *cfg.Program, opts Options) (*Result, error) {
 
 // RunReference executes the program on the tree-walking evaluator, the
 // executable semantics the bytecode lowering is differentially checked
-// against. Its observables — exit code, output, steps, profile or probe
-// vector, memory trace, error text — are identical to Run's. Only tests
-// and the internal/check oracles call it; production paths call Run.
+// against. Its observables — exit code, output, steps, profile, memory
+// trace, error text — are identical to Run's. It runs full
+// instrumentation only and returns an error for SparseInstrumentation:
+// a sparse run is checked against it by reconstructing the run's
+// profile from its probe vector (see check.DiffRuns). Only tests and the
+// internal/check oracles call it; production paths call Run.
 func RunReference(p *cfg.Program, opts Options) (*Result, error) {
+	if opts.Instrumentation == SparseInstrumentation {
+		return nil, fmt.Errorf("interp: the reference runs full instrumentation only")
+	}
 	return run(p, opts, func(m *Machine, _ *obs.Span) (int, error) {
 		return m.callMain(opts.Args), nil
 	})
@@ -622,48 +628,7 @@ func (m *Machine) copyMem(dst, src uint64, n int64) {
 func (m *Machine) initGlobals() {
 	for i, g := range m.sem.Globals {
 		if g.Init != nil {
-			m.storeInit(encodePtr(m.globalSeg[i], 0), g.Obj.Type, g.Init)
-		}
-	}
-}
-
-func (m *Machine) storeInit(p uint64, t *ctypes.Type, in cast.Init) {
-	switch init := in.(type) {
-	case nil:
-	case *cast.ExprInit:
-		if s, ok := init.X.(*cast.StrLit); ok && t.Kind == ctypes.Array {
-			// char arr[] = "text";
-			dst := m.checkedSlice(p, t.Size())
-			n := copy(dst, s.Val)
-			if int64(n) < t.Size() {
-				dst[n] = 0
-			}
-			return
-		}
-		v := m.eval(nil, init.X)
-		m.store(p, t, convert(m, v, t))
-	case *cast.ListInit:
-		switch t.Kind {
-		case ctypes.Array:
-			esz := t.Elem.Size()
-			for i, el := range init.Elems {
-				if int64(i) >= t.Len {
-					break
-				}
-				m.storeInit(p+uint64(int64(i)*esz), t.Elem, el)
-			}
-		case ctypes.Struct:
-			for i, el := range init.Elems {
-				if i >= len(t.Info.Fields) {
-					break
-				}
-				f := t.Info.Fields[i]
-				m.storeInit(p+uint64(f.Offset), f.Type, el)
-			}
-		default:
-			if len(init.Elems) == 1 {
-				m.storeInit(p, t, init.Elems[0])
-			}
+			m.storeLocalInit(nil, encodePtr(m.globalSeg[i], 0), g.Obj.Type, g.Init)
 		}
 	}
 }
@@ -696,34 +661,34 @@ func (m *Machine) buildArgv(args []string) (int64, uint64) {
 	return int64(len(argv)), encodePtr(m.newSegment(arrData, segString, "argv[]"), 0)
 }
 
-func (m *Machine) callMain(args []string) int {
+// mainArgs writes the arguments main declares, argc and then argv, to
+// dst and returns how many it wrote.
+func (m *Machine) mainArgs(dst []value, args []string) int {
 	argc, argvPtr := m.buildArgv(args)
-	main := m.sem.Main
-	var vals []value
-	if len(main.Params) >= 1 {
-		vals = append(vals, value{typ: ctypes.IntType, i: argc})
+	n := min(len(m.sem.Main.Params), 2)
+	if n >= 1 {
+		dst[0] = value{typ: ctypes.IntType, i: argc}
 	}
-	if len(main.Params) >= 2 {
-		vals = append(vals, value{
-			typ: ctypes.PointerTo(ctypes.PointerTo(ctypes.CharType)),
-			i:   int64(argvPtr),
-		})
+	if n == 2 {
+		dst[1] = value{typ: ctypes.PointerTo(ctypes.PointerTo(ctypes.CharType)), i: int64(argvPtr)}
 	}
-	ret := m.callFunc(main.Obj.FuncIndex, vals)
+	return n
+}
+
+func (m *Machine) callMain(args []string) int {
+	var vals [2]value
+	n := m.mainArgs(vals[:], args)
+	ret := m.callFunc(m.sem.Main.Obj.FuncIndex, vals[:n])
 	return int(int32(ret.i))
 }
 
 // callFunc invokes a defined function with already-evaluated arguments.
+// The caller's position is restored when the call returns, so a fault
+// later in the caller's expression reports the caller's code.
 func (m *Machine) callFunc(fnIdx int, args []value) value {
 	fd := m.sem.Funcs[fnIdx]
-	g := m.cfgP.Graphs[fnIdx]
-	if m.sparse {
-		// Invocations ride the virtual exit→entry arc of the spanning
-		// forest; only the frame trace is maintained here.
-		m.trace = append(m.trace, probes.Escape{Func: fnIdx, Block: g.Entry.ID})
-	} else {
-		m.prof.FuncCalls[fnIdx]++
-	}
+	pos := m.curPos
+	m.prof.FuncCalls[fnIdx]++
 	m.calls++
 
 	m.depth++
@@ -739,13 +704,11 @@ func (m *Machine) callFunc(fnIdx int, args []value) value {
 		}
 	}
 
-	ret := m.execute(fr, g, fnIdx)
+	ret := m.execute(fr, m.cfgP.Graphs[fnIdx], fnIdx)
 
 	m.sp = savedSP
 	m.depth--
-	if m.sparse {
-		m.trace = m.trace[:len(m.trace)-1]
-	}
+	m.curPos = pos
 	retT := fd.Obj.Type.Sig.Ret
 	if retT.Kind == ctypes.Void {
 		return value{typ: ctypes.VoidType}
@@ -772,14 +735,9 @@ func (m *Machine) pushFrame(fd *cast.FuncDecl) int64 {
 	return base
 }
 
-// execute runs the function's CFG and returns the raw return value.
-// Under sparse instrumentation the hot loop skips every per-block and
-// per-branch counter; it only bumps the planned probe counters at arc
-// transitions and keeps the frame trace current for exit() handling.
+// execute runs the function's CFG, counting every block, branch
+// outcome and switch arm, and returns the raw return value.
 func (m *Machine) execute(fr *frame, g *cfg.Graph, fnIdx int) value {
-	if m.sparse {
-		return m.executeSparse(fr, g, fnIdx)
-	}
 	blk := g.Entry
 	counts := m.prof.BlockCounts[fnIdx]
 	factor := m.factor[fnIdx]
@@ -855,94 +813,6 @@ func (m *Machine) execute(fr *frame, g *cfg.Graph, fnIdx int) value {
 	}
 }
 
-// executeSparse is the sparse-instrumentation twin of execute: no block,
-// branch, switch, or cycle counters — only the probe counters the plan
-// placed on off-forest arcs, plus a frame-trace update per block so a
-// mid-run exit() leaves an exact record of where flow stopped.
-func (m *Machine) executeSparse(fr *frame, g *cfg.Graph, fnIdx int) value {
-	blk := g.Entry
-	fp := &m.plan.Funcs[fnIdx]
-	// Index rather than pointer: nested calls append to m.trace and may
-	// reallocate its backing array.
-	ti := len(m.trace) - 1
-	for {
-		m.step()
-		m.trace[ti].Block = blk.ID
-
-		for _, s := range blk.Stmts {
-			m.execStmt(fr, s)
-		}
-		switch blk.Term {
-		case cfg.TermJump:
-			if len(blk.Succs) == 0 {
-				// Fell off a pruned dead-end; treat as return 0.
-				if pi := fp.ExitProbe[blk.ID]; pi >= 0 {
-					m.pv[pi]++
-				}
-				return value{typ: ctypes.IntType}
-			}
-			if pi := fp.SuccProbe[blk.ID][0]; pi >= 0 {
-				m.pv[pi]++
-			}
-			blk = blk.Succs[0]
-		case cfg.TermCond:
-			m.curPos = blk.Cond.Pos()
-			slot := 1
-			if isTrue(m.eval(fr, blk.Cond)) {
-				slot = 0
-			}
-			if pi := fp.SuccProbe[blk.ID][slot]; pi >= 0 {
-				m.pv[pi]++
-			}
-			blk = blk.Succs[slot]
-		case cfg.TermSwitch:
-			m.curPos = blk.Tag.Pos()
-			tag := m.eval(fr, blk.Tag).i
-			arm := -1
-			def := -1
-			for i, c := range blk.Cases {
-				if c.IsDefault {
-					def = i
-					continue
-				}
-				for _, v := range c.Vals {
-					if v == tag {
-						arm = i
-					}
-				}
-				if arm >= 0 {
-					break
-				}
-			}
-			if arm < 0 {
-				arm = def
-			}
-			if arm < 0 {
-				m.fail("switch value %d matched no arm and no default", tag)
-			}
-			if pi := fp.SuccProbe[blk.ID][arm]; pi >= 0 {
-				m.pv[pi]++
-			}
-			blk = blk.Succs[arm]
-		case cfg.TermReturn:
-			// Evaluate the return value before bumping the exit probe: an
-			// exit() inside it must leave this frame recorded as escaped,
-			// not as having flowed out.
-			var ret value
-			if blk.RetVal != nil {
-				m.curPos = blk.RetVal.Pos()
-				ret = m.eval(fr, blk.RetVal)
-			} else {
-				ret = value{typ: ctypes.IntType}
-			}
-			if pi := fp.ExitProbe[blk.ID]; pi >= 0 {
-				m.pv[pi]++
-			}
-			return ret
-		}
-	}
-}
-
 func (m *Machine) execStmt(fr *frame, s cast.Stmt) {
 	m.curPos = s.Pos()
 	switch x := s.(type) {
@@ -968,6 +838,9 @@ func (m *Machine) execStmt(fr *frame, s cast.Stmt) {
 	}
 }
 
+// storeLocalInit evaluates initializer in and stores it at p, an object
+// of type t. fr is the frame its expressions are evaluated in: nil for
+// a global's initializer, which runs outside any function.
 func (m *Machine) storeLocalInit(fr *frame, p uint64, t *ctypes.Type, in cast.Init) {
 	switch init := in.(type) {
 	case nil:

@@ -21,7 +21,7 @@
 //   - call-site counts = containing-block count for sites proven to
 //     execute exactly once per block execution; a dedicated counter
 //     otherwise (short-circuit guards, ternaries, sites following a
-//     possible mid-block exit(), sizeof operands, global initializers)
+//     possible mid-block exit(), sizeof operands)
 //
 // exit() terminates a run with every active frame mid-block, which
 // would break conservation; the sparse interpreter therefore records
@@ -99,8 +99,8 @@ const (
 	// sites (&&/|| right operands, ?: arms), sites that follow a call
 	// dispatch in their block's evaluation order (an exit() in that call
 	// would end the run between the block being counted and the site
-	// executing), unevaluated sizeof operands, and sites in global
-	// initializers, which run outside any block.
+	// executing), and sites inside unevaluated sizeof operands, which lie
+	// in no block.
 	SiteProbed
 )
 
@@ -325,8 +325,9 @@ func (p *Plan) planSites() {
 	p.Sites = make([]SitePlan, len(sp.CallSites))
 	p.SiteProbe = make([]int32, len(sp.CallSites))
 	for i := range p.Sites {
-		// Sites not located in any block (global initializers) stay
-		// probed by default.
+		// Sites not located in any block stay probed by default: those
+		// inside sizeof operands, which never execute (sem rejects a
+		// call in a global initializer).
 		p.Sites[i] = SitePlan{Class: SiteProbed, Func: -1, Block: -1, Probe: -1}
 	}
 	for fi, g := range p.prog.Graphs {

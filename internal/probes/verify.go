@@ -9,7 +9,7 @@ import (
 // Diff compares two profiles field by field under exact float equality
 // and returns a human-readable description of every mismatch (empty
 // when the profiles are identical). It is the differential verifier
-// behind the suite-wide sparse-vs-full test and the cprof -verify path.
+// behind the suite-wide sparse-vs-full test and check.DiffRuns.
 func Diff(want, got *profile.Profile) []string {
 	var diffs []string
 	add := func(format string, args ...any) {

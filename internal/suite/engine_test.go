@@ -14,31 +14,41 @@ import (
 	"staticest/internal/suite"
 )
 
-// runBoth executes the same run through interp.RunReference (the
-// tree-walking reference) and Run (the bytecode engine) and fails the
-// test unless every observable check.DiffRuns compares — exit code,
-// output bytes, step count, full profile, sparse probe vector, escape
-// list, memory trace — is identical.
-func runBoth(t *testing.T, u *staticest.Unit, label string, opts staticest.RunOptions) {
+// checkRuns runs opts through interp.RunReference (the tree-walking
+// reference, full instrumentation) and through Run (the bytecode
+// engine) in full mode, and, when plan is non-nil, in sparse mode with
+// plan too. It fails the test unless every bytecode run matches the
+// reference on every observable check.DiffRuns compares — exit code,
+// output bytes, step count, memory trace, and the full profile, which
+// a sparse run's probe vector must reconstruct exactly.
+func checkRuns(t *testing.T, u *staticest.Unit, label string, opts staticest.RunOptions, plan *staticest.ProbePlan) {
 	t.Helper()
-	tree, err := interp.RunReference(u.CFG, opts)
+	ref, err := interp.RunReference(u.CFG, opts)
 	if err != nil {
 		t.Fatalf("%s: tree engine: %v", label, err)
 	}
-	bc, err := u.Run(opts)
-	if err != nil {
-		t.Fatalf("%s: bytecode engine: %v", label, err)
+	compare := func(mode string, o staticest.RunOptions) {
+		got, err := u.Run(o)
+		if err != nil {
+			t.Fatalf("%s/%s: bytecode engine: %v", label, mode, err)
+		}
+		for _, d := range check.DiffRuns(ref, got, o.Plan) {
+			t.Errorf("%s/%s: %s", label, mode, d)
+		}
 	}
-	for _, d := range check.DiffRuns(tree, bc) {
-		t.Errorf("%s: %s", label, d)
+	compare("full", opts)
+	if plan != nil {
+		opts.Instrumentation, opts.Plan = staticest.SparseInstrumentation, plan
+		compare("sparse", opts)
 	}
 }
 
 // TestEngineDifferential is the bytecode engine's ground truth: on every
 // suite program and every input, the bytecode lowering must reproduce
 // the tree-walking evaluator's observable behaviour exactly — full
-// profiles, sparse probe vectors with exit() escape lists, and memory
-// traces included.
+// profiles and memory traces included — and a sparse run's probe
+// vector, exit() escape list included, must reconstruct the
+// evaluator's full profile.
 //
 // The runs share the suite's programs, which are built once per
 // process, so when they are done the suite must still equal a freshly
@@ -69,21 +79,14 @@ func TestEngineDifferential(t *testing.T) {
 				inputs = append(append([]suite.Input{}, inputs...), *p.TimingInput)
 			}
 			for _, in := range inputs {
-				runBoth(t, u, in.Name+"/full", staticest.RunOptions{
-					Args: in.Args, Stdin: in.Stdin,
-				})
-				runBoth(t, u, in.Name+"/sparse", staticest.RunOptions{
-					Args: in.Args, Stdin: in.Stdin,
-					Instrumentation: staticest.SparseInstrumentation,
-					Plan:            plan,
-				})
+				checkRuns(t, u, in.Name, staticest.RunOptions{Args: in.Args, Stdin: in.Stdin}, plan)
 			}
 			// Memory tracing on one input is enough per program: the trace
 			// hook sites are static, so one traced run exercises them all.
 			in := inputs[0]
-			runBoth(t, u, in.Name+"/traced", staticest.RunOptions{
+			checkRuns(t, u, in.Name+"/traced", staticest.RunOptions{
 				Args: in.Args, Stdin: in.Stdin, MemRefs: refs,
-			})
+			}, nil)
 		})
 	}
 }
@@ -91,13 +94,15 @@ func TestEngineDifferential(t *testing.T) {
 // TestEngineStepCap checks that the step checkpoint stops a run
 // identically on both engines: an exhausted step budget, and a
 // cancelled context polled after 2^14 block executions, each fail the
-// run with the same error text under both, full and sparse.
+// run with the same error text under the reference and under the
+// bytecode engine, full and sparse.
 func TestEngineStepCap(t *testing.T) {
 	p := suite.Compress()
 	u, err := p.CompileCached()
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	plan := u.PlanProbes()
 	in := p.Inputs[0]
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -108,22 +113,29 @@ func TestEngineStepCap(t *testing.T) {
 	}{
 		{"budget", staticest.RunOptions{MaxSteps: 1000}, "step budget exceeded (1000 block executions)"},
 		{"cancelled", staticest.RunOptions{Ctx: cancelled}, "run cancelled: context canceled"},
-		{"cancelled/sparse", staticest.RunOptions{Ctx: cancelled,
-			Instrumentation: staticest.SparseInstrumentation, Plan: u.PlanProbes()},
-			"run cancelled: context canceled"},
 	} {
 		opts := tc.opts
 		opts.Args, opts.Stdin = in.Args, in.Stdin
 		_, treeErr := interp.RunReference(u.CFG, opts)
-		_, bcErr := u.Run(opts)
-		if treeErr == nil || bcErr == nil {
-			t.Fatalf("%s: run did not stop: tree %v, bytecode %v", tc.name, treeErr, bcErr)
+		if treeErr == nil {
+			t.Fatalf("%s: tree run did not stop", tc.name)
 		}
-		if treeErr.Error() != bcErr.Error() {
-			t.Errorf("%s: errors differ: tree %q, bytecode %q", tc.name, treeErr, bcErr)
-		}
-		if !strings.Contains(bcErr.Error(), tc.want) {
-			t.Errorf("%s: error %q, want it to contain %q", tc.name, bcErr, tc.want)
+		sparse := opts
+		sparse.Instrumentation, sparse.Plan = staticest.SparseInstrumentation, plan
+		for _, run := range []struct {
+			mode string
+			opts staticest.RunOptions
+		}{{"full", opts}, {"sparse", sparse}} {
+			_, bcErr := u.Run(run.opts)
+			if bcErr == nil {
+				t.Fatalf("%s/%s: bytecode run did not stop", tc.name, run.mode)
+			}
+			if treeErr.Error() != bcErr.Error() {
+				t.Errorf("%s/%s: errors differ: tree %q, bytecode %q", tc.name, run.mode, treeErr, bcErr)
+			}
+			if !strings.Contains(bcErr.Error(), tc.want) {
+				t.Errorf("%s/%s: error %q, want it to contain %q", tc.name, run.mode, bcErr, tc.want)
+			}
 		}
 	}
 }

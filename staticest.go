@@ -221,7 +221,8 @@ func Reconstruct(plan *ProbePlan, vec *ProbeVector, optFactor map[int]float64) (
 
 // DiffProfiles reports every field-level mismatch between two profiles
 // under exact equality (empty means identical). It backs the sparse
-// verification paths in tests and cmd/cprof.
+// and ingest verification paths: the internal/check oracles and their
+// tests.
 func DiffProfiles(want, got *profile.Profile) []string {
 	return probes.Diff(want, got)
 }
