@@ -94,7 +94,7 @@ func run(path string, args []string, inFile string, maxSteps int64, blocks bool,
 		return err
 	}
 	if plan != nil {
-		rec, rerr := staticest.Reconstruct(plan, res.Probes, nil)
+		rec, rerr := staticest.Reconstruct(plan, res.Probes)
 		if rerr != nil {
 			return fmt.Errorf("reconstructing sparse profile: %w", rerr)
 		}

@@ -38,8 +38,8 @@ const (
 	// --- control and profiling ---
 
 	// OpBlockFull opens a block under full instrumentation:
-	// steps++/budget check, BlockCounts[fn][A]++, cycles += B*factor.
-	OpBlockFull // A=blockID, B=1+len(stmts)
+	// steps++/budget check, BlockCounts[fn][A]++.
+	OpBlockFull // A=blockID
 	// OpBlockSparse opens a block under sparse instrumentation:
 	// steps++/budget check, frame trace slot set to A.
 	OpBlockSparse // A=blockID

@@ -220,7 +220,7 @@ func (c *compiler) block(blk *cfg.Block) error {
 	if c.fp != nil {
 		c.emit(Instr{Op: OpBlockSparse, A: int32(blk.ID)}, 0)
 	} else {
-		c.emit(Instr{Op: OpBlockFull, A: int32(blk.ID), B: int32(1 + len(blk.Stmts))}, 0)
+		c.emit(Instr{Op: OpBlockFull, A: int32(blk.ID)}, 0)
 	}
 	for _, s := range blk.Stmts {
 		if err := c.stmt(s); err != nil {
@@ -711,7 +711,7 @@ func (c *compiler) assign(x *cast.Assign, drop bool) error {
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.pushed = c.binop(x.Op.BinOp(), -1, t, c.pushed)
+		c.pushed = c.binop(x.Op.BinOp(), c.pos(x.Pos()), t, c.pushed)
 	}
 	c.convert(t)
 	// The write-trace hook precedes the store instruction (the address
@@ -745,7 +745,7 @@ func (c *compiler) assignDirect(x *cast.Assign, obj *cast.Object, drop bool) err
 		if err := c.value(x.R); err != nil {
 			return err
 		}
-		c.pushed = c.binop(x.Op.BinOp(), -1, t, c.pushed)
+		c.pushed = c.binop(x.Op.BinOp(), c.pos(x.Pos()), t, c.pushed)
 	}
 	c.convert(t)
 	if drop {

@@ -154,12 +154,6 @@ func Calls(fd *FuncDecl) []*Call {
 	return out
 }
 
-// ContainsCallTo reports whether any call in the statement subtree
-// targets a function whose name satisfies pred.
-func ContainsCallTo(s Stmt, pred func(name string) bool) bool {
-	return ContainsCallMatching(s, func(o *Object) bool { return pred(o.Name) })
-}
-
 // ContainsCallMatching reports whether any direct call in the statement
 // subtree targets a function object satisfying pred.
 func ContainsCallMatching(s Stmt, pred func(*Object) bool) bool {

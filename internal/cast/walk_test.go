@@ -110,17 +110,18 @@ int g(int x) {
 	if (x > 1) { return 2; }
 	return 0;
 }`)
-	// ContainsCallTo resolves callees through bound objects.
+	// ContainsCallMatching resolves callees through bound objects.
 	if _, err := sem.Analyze(f); err != nil {
 		t.Fatal(err)
 	}
 	g := f.Funcs[1]
 	if1 := g.Body.Stmts[0].(*cast.If)
 	if2 := g.Body.Stmts[1].(*cast.If)
-	if !cast.ContainsCallTo(if1.Then, func(n string) bool { return n == "fail" }) {
+	isFail := func(o *cast.Object) bool { return o.Name == "fail" }
+	if !cast.ContainsCallMatching(if1.Then, isFail) {
 		t.Error("fail call not found")
 	}
-	if cast.ContainsCallTo(if2.Then, func(n string) bool { return n == "fail" }) {
+	if cast.ContainsCallMatching(if2.Then, isFail) {
 		t.Error("phantom call found")
 	}
 	if cast.ContainsReturn(if1.Then) {

@@ -591,6 +591,25 @@ func removeBlock(list []*Block, b *Block) []*Block {
 	return out
 }
 
+// Cycles prices a run's block counts (indexed by function, then block
+// ID) under the interpreter's cost model: each execution of a block
+// costs 1 + len(Stmts), times its function's factor, which is 1 where
+// factor has no entry. A full run, the probe reconstructor and the
+// selective-optimization experiment all price counts here.
+func Cycles(p *Program, counts [][]float64, factor map[int]float64) float64 {
+	var cycles float64
+	for fi, g := range p.Graphs {
+		f := 1.0
+		if v, ok := factor[fi]; ok {
+			f = v
+		}
+		for _, blk := range g.Blocks {
+			cycles += counts[fi][blk.ID] * float64(1+len(blk.Stmts)) * f
+		}
+	}
+	return cycles
+}
+
 // ProfileShape returns the dimensions of a dynamic profile for the
 // program: blocks per function, call-site and branch-site counts, and
 // the arm count of every switch site (source cases plus the implicit

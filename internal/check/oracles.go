@@ -84,7 +84,7 @@ func DiffRuns(ref, got *staticest.RunResult, plan *staticest.ProbePlan) []string
 	prof := got.Profile
 	var err error
 	if got.Probes != nil && plan != nil {
-		prof, err = staticest.Reconstruct(plan, got.Probes, nil)
+		prof, err = staticest.Reconstruct(plan, got.Probes)
 	}
 	switch {
 	case err != nil:
@@ -187,29 +187,28 @@ func IngestOracle(u *staticest.Unit) []Failure {
 	if err != nil {
 		return []Failure{{Oracle: "ingest", Detail: "sparse run: " + err.Error()}}
 	}
-	rec, err := staticest.Reconstruct(plan, sparse.Probes, nil)
+	rec, err := staticest.Reconstruct(plan, sparse.Probes)
 	if err != nil {
 		return []Failure{{Oracle: "ingest", Detail: "reconstruct: " + err.Error()}}
 	}
 
-	const fp = "oracle-unit"
 	st := ingest.NewStore(nil)
-	st.Register(fp, u.Name, plan)
+	live := st.Register("oracle-unit", plan)
 	var offline []*profile.Profile
 	for i := 1; i <= 3; i++ {
 		label := fmt.Sprintf("run%d", i)
-		if _, err := st.Ingest(fp, ingest.Upload{ID: label, Label: label, Vector: sparse.Probes}); err != nil {
+		if _, err := st.Ingest(live, ingest.Upload{ID: label, Label: label, Vector: sparse.Probes}); err != nil {
 			return []Failure{{Oracle: "ingest", Detail: "upload " + label + ": " + err.Error()}}
 		}
 		q := rec.Clone()
 		q.Label = label
 		offline = append(offline, q)
 	}
-	if _, err := st.Ingest(fp, ingest.Upload{ID: "run1", Label: "replay", Vector: sparse.Probes}); !errors.Is(err, ingest.ErrDuplicate) {
+	if _, err := st.Ingest(live, ingest.Upload{ID: "run1", Label: "replay", Vector: sparse.Probes}); !errors.Is(err, ingest.ErrDuplicate) {
 		return []Failure{{Oracle: "ingest", Detail: fmt.Sprintf("replayed upload ID: err = %v, want ErrDuplicate", err)}}
 	}
 
-	snap, ok := st.Snapshot(fp)
+	snap, ok := st.Snapshot(live)
 	if !ok {
 		return []Failure{{Oracle: "ingest", Detail: "no snapshot after three uploads"}}
 	}

@@ -193,9 +193,6 @@ func (t Token) String() string {
 	}
 }
 
-// IsAssignOp reports whether the kind is an assignment operator.
-func (k Kind) IsAssignOp() bool { return k >= Assign && k <= ShrAssign }
-
 // IsTypeKeyword reports whether the kind begins a type specifier.
 func (k Kind) IsTypeKeyword() bool {
 	switch k {

@@ -39,19 +39,6 @@ func TestKeywordsTableComplete(t *testing.T) {
 	}
 }
 
-func TestIsAssignOp(t *testing.T) {
-	for _, k := range []Kind{Assign, AddAssign, ShrAssign} {
-		if !k.IsAssignOp() {
-			t.Errorf("%v should be an assignment operator", k)
-		}
-	}
-	for _, k := range []Kind{EqEq, Plus, Inc} {
-		if k.IsAssignOp() {
-			t.Errorf("%v should not be an assignment operator", k)
-		}
-	}
-}
-
 func TestIsTypeKeyword(t *testing.T) {
 	for _, k := range []Kind{KwInt, KwVoid, KwStruct, KwUnsigned, KwConst} {
 		if !k.IsTypeKeyword() {

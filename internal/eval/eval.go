@@ -46,18 +46,27 @@ type ProgramData struct {
 	Profiles []*profile.Profile // parallel to Prog.Inputs
 }
 
-// Load compiles and profiles one program with the default configuration.
+// Load compiles, estimates and profiles one program with the default
+// configuration.
 func Load(p *suite.Program) (*ProgramData, error) {
-	o := Observer()
-	sp := o.StartSpan("eval.load", obs.KV("prog", p.Name))
-	defer sp.End()
 	u, err := p.CompileCached()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	esp := sp.Child("eval.estimate", obs.KV("prog", p.Name))
-	d := &ProgramData{Prog: p, Unit: u, Est: u.Estimate()}
+	esp := Observer().StartSpan("eval.estimate", obs.KV("prog", p.Name))
+	est := u.Estimate()
 	esp.End()
+	return LoadUnit(p, u, est)
+}
+
+// LoadUnit profiles p on each of its inputs with u, a compiled unit of
+// p's source, and returns the profiles with u and est, u's estimates.
+// The runs use the interpreter's default step bound and no context.
+func LoadUnit(p *suite.Program, u *staticest.Unit, est *core.Estimates) (*ProgramData, error) {
+	o := Observer()
+	sp := o.StartSpan("eval.load", obs.KV("prog", p.Name))
+	defer sp.End()
+	d := &ProgramData{Prog: p, Unit: u, Est: est}
 	for _, in := range p.Inputs {
 		rsp := sp.Child("eval.run", obs.KV("prog", p.Name), obs.KV("input", in.Name))
 		res, err := u.Run(staticest.RunOptions{Args: in.Args, Stdin: in.Stdin, Obs: o})
@@ -134,31 +143,6 @@ func LoadSuite() ([]*ProgramData, error) {
 		}
 	}
 	return data, nil
-}
-
-// progCache memoizes LoadCached per program name; entries are
-// *progEntry so concurrent first loads of one program do the work once.
-var progCache sync.Map
-
-type progEntry struct {
-	once sync.Once
-	data *ProgramData
-	err  error
-}
-
-// LoadCached compiles and profiles one suite program once per process
-// and returns shared, read-only data. Unlike LoadSuiteCached it loads
-// only the named program, so callers that serve per-program queries
-// (cmd/serve) pay for exactly the programs that are asked about.
-// Concurrent first calls for the same program deduplicate: the load
-// runs once and everyone gets the same *ProgramData.
-func LoadCached(p *suite.Program) (*ProgramData, error) {
-	e, _ := progCache.LoadOrStore(p.Name, &progEntry{})
-	entry := e.(*progEntry)
-	entry.once.Do(func() {
-		entry.data, entry.err = Load(p)
-	})
-	return entry.data, entry.err
 }
 
 var (

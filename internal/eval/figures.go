@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"staticest"
+	"staticest/internal/cfg"
 	"staticest/internal/metric"
 	"staticest/internal/profile"
 	"staticest/internal/texttab"
@@ -328,13 +329,26 @@ type Fig10Curve struct {
 // estimate, the first profile, and the aggregate of the remaining
 // profiles) and measure simulated cycles on the held-out timing input.
 // optFactor is the per-block cost multiplier for optimized functions.
+// Optimizing changes a block's cost, not its count, so the timing input
+// runs once and each optimized set prices the same counts
+// (cfg.Cycles).
 func Figure10(d *ProgramData, optFactor float64) ([]Fig10Curve, error) {
 	if d.Prog.TimingInput == nil {
 		return nil, fmt.Errorf("%s has no timing input", d.Prog.Name)
 	}
-	timing := staticest.RunOptions{
+	res, err := d.Unit.Run(staticest.RunOptions{
 		Args:  d.Prog.TimingInput.Args,
 		Stdin: d.Prog.TimingInput.Stdin,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cycles := func(optimized []int) float64 {
+		factor := make(map[int]float64, len(optimized))
+		for _, f := range optimized {
+			factor[f] = optFactor
+		}
+		return cfg.Cycles(d.Unit.CFG, res.Profile.BlockCounts, factor)
 	}
 	nf := len(d.Unit.Sem.Funcs)
 	ks := []int{0, 1, 2, 3, 4, 5, 6, nf}
@@ -353,10 +367,7 @@ func Figure10(d *ProgramData, optFactor float64) ([]Fig10Curve, error) {
 		{"aggregate", rankDesc(restAgg.FuncCalls)},
 	}
 
-	base, err := RunCycles(d, timing, nil, optFactor)
-	if err != nil {
-		return nil, err
-	}
+	base := cycles(nil)
 	var curves []Fig10Curve
 	for _, ord := range orderings {
 		curve := Fig10Curve{Order: ord.name, Ks: ks}
@@ -365,11 +376,7 @@ func Figure10(d *ProgramData, optFactor float64) ([]Fig10Curve, error) {
 			if k < len(top) {
 				top = top[:k]
 			}
-			cycles, err := RunCycles(d, timing, top, optFactor)
-			if err != nil {
-				return nil, err
-			}
-			curve.Speedups = append(curve.Speedups, base/cycles)
+			curve.Speedups = append(curve.Speedups, base/cycles(top))
 		}
 		curves = append(curves, curve)
 	}
@@ -405,19 +412,4 @@ func RenderFigure10(curves []Fig10Curve) string {
 	}
 	sb.WriteString(t.String())
 	return sb.String()
-}
-
-// RunCycles runs the program on an input with the given optimized
-// function set and returns simulated cycles.
-func RunCycles(d *ProgramData, in staticest.RunOptions, optimized []int, factor float64) (float64, error) {
-	of := make(map[int]float64, len(optimized))
-	for _, f := range optimized {
-		of[f] = factor
-	}
-	in.OptFactor = of
-	res, err := d.Unit.Run(in)
-	if err != nil {
-		return 0, err
-	}
-	return res.Profile.Cycles, nil
 }

@@ -15,7 +15,7 @@
 // depth parameter with a base case guarding every recursive call.
 //
 // Determinism is part of the API: two Generators built with the same
-// seed and options produce byte-identical program sequences, so a
+// seed produce byte-identical program sequences, so a
 // failing program can always be regenerated from (seed, index) alone.
 package gen
 
@@ -31,66 +31,35 @@ import (
 // must not change any estimate for the pre-existing code.
 const PadMarker = "/*PAD*/"
 
-// Options bounds the generator's output. The zero value selects the
-// defaults noted on each field.
-type Options struct {
-	// Helpers is the maximum number of helper functions besides main
-	// (default 4; at least 1 is always generated).
-	Helpers int
-	// MaxDepth bounds statement nesting: loops and branches stop
-	// nesting at this depth (default 3).
-	MaxDepth int
-	// MaxExpr bounds expression tree depth (default 3).
-	MaxExpr int
-	// MaxLoop is the largest constant loop bound (default 9, minimum 2).
-	MaxLoop int
-	// MaxStmts is the most statements emitted per block (default 5).
-	MaxStmts int
-	// RecDepth is the largest recursion-depth constant passed to
-	// recursive helpers (default 6).
-	RecDepth int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Helpers <= 0 {
-		o.Helpers = 4
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 3
-	}
-	if o.MaxExpr <= 0 {
-		o.MaxExpr = 3
-	}
-	if o.MaxLoop < 2 {
-		o.MaxLoop = 9
-	}
-	if o.MaxStmts <= 0 {
-		o.MaxStmts = 5
-	}
-	if o.RecDepth <= 0 {
-		o.RecDepth = 6
-	}
-	return o
-}
+// Bounds on the generator's output.
+const (
+	// maxHelpers is the most helper functions besides main (at least 1
+	// is always generated).
+	maxHelpers = 4
+	// maxDepth bounds statement nesting: loops and branches stop
+	// nesting at this depth.
+	maxDepth = 3
+	// maxExpr bounds expression tree depth.
+	maxExpr = 3
+	// maxLoop is the largest constant loop bound.
+	maxLoop = 9
+	// maxStmts is the most statements emitted per block.
+	maxStmts = 5
+	// recDepth is the largest recursion-depth constant passed to
+	// recursive helpers.
+	recDepth = 6
+)
 
 // Generator produces a deterministic sequence of programs from a seed.
 type Generator struct {
 	rng  *rand.Rand
-	opt  Options
 	seed int64
 	n    int
 }
 
-// New returns a generator with default options.
-func New(seed int64) *Generator { return NewWith(seed, Options{}) }
-
-// NewWith returns a generator with explicit options.
-func NewWith(seed int64, opt Options) *Generator {
-	return &Generator{
-		rng:  rand.New(rand.NewSource(seed)),
-		opt:  opt.withDefaults(),
-		seed: seed,
-	}
+// New returns a generator for seed.
+func New(seed int64) *Generator {
+	return &Generator{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
 // Program returns the next program in the generator's sequence as C
@@ -98,7 +67,7 @@ func NewWith(seed int64, opt Options) *Generator {
 // two same-seed generators is byte-identical.
 func (g *Generator) Program() []byte {
 	g.n++
-	p := &progGen{rng: g.rng, opt: g.opt}
+	p := &progGen{rng: g.rng}
 	return p.program(g.seed, g.n)
 }
 
@@ -128,7 +97,6 @@ const (
 // progGen holds the state of one program emission.
 type progGen struct {
 	rng *rand.Rand
-	opt Options
 	b   *bytes.Buffer
 	ind int
 
@@ -220,7 +188,7 @@ func (p *progGen) program(seed int64, index int) []byte {
 	}
 	// Helpers, then a recursive helper, then main. Functions only call
 	// previously emitted functions, so no forward declarations needed.
-	nHelp := 1 + p.rnd(p.opt.Helpers)
+	nHelp := 1 + p.rnd(maxHelpers)
 	for i := 0; i < nHelp; i++ {
 		p.emitHelper(fmt.Sprintf("f%d", i))
 	}
@@ -337,7 +305,7 @@ func (p *progGen) emitHelper(name string) {
 		if p.chance(0.4) {
 			p.newPtr()
 		}
-		p.stmts(0, 1+p.rnd(p.opt.MaxStmts))
+		p.stmts(0, 1+p.rnd(maxStmts))
 		return p.expr(2)
 	})
 	p.funcs = append(p.funcs, helper{name: name, params: nParams, weight: w})
@@ -358,7 +326,7 @@ func (p *progGen) emitRecursive(name string) {
 		return fmt.Sprintf("%s(n0 - 1, a0 + %s)", name, p.pick(p.fn.vars))
 	})
 	// One invocation can recurse RecDepth deep; weight is per-call.
-	self.weight = w * float64(p.opt.RecDepth+1)
+	self.weight = w * float64(recDepth+1)
 	p.funcs = append(p.funcs, self)
 }
 
@@ -376,7 +344,7 @@ func (p *progGen) emitMain() {
 		if p.chance(0.3) {
 			p.newPtr()
 		}
-		p.stmts(0, 2+p.rnd(p.opt.MaxStmts))
+		p.stmts(0, 2+p.rnd(maxStmts))
 		p.line(PadMarker)
 		p.line(`printf("%%d %%d\n", acc, %s);`, p.pick(p.globals))
 		return "acc & 7"
@@ -410,7 +378,7 @@ func (p *progGen) lvalue() string {
 
 func (p *progGen) stmt(depth int) {
 	p.fn.weight += p.fn.mult
-	deep := depth < p.opt.MaxDepth && p.fn.mult <= loopMult
+	deep := depth < maxDepth && p.fn.mult <= loopMult
 	for {
 		switch p.rnd(16) {
 		case 0, 1, 2, 3:
@@ -479,7 +447,7 @@ func (p *progGen) assignStmt() {
 	lhs := p.lvalue()
 	ops := []string{"=", "=", "=", "+=", "-=", "*=", "&=", "|=", "^="}
 	op := ops[p.rnd(len(ops))]
-	p.line("%s %s %s;", lhs, op, p.expr(p.opt.MaxExpr))
+	p.line("%s %s %s;", lhs, op, p.expr(maxExpr))
 }
 
 // callStmt emits a whole-statement call (the shapes the inliner can
@@ -526,7 +494,7 @@ func (p *progGen) callExpr() string {
 			if p.fn.rec != nil && p.fn.rec.name == h.name {
 				args += p.fn.recN + " - 1"
 			} else {
-				args += fmt.Sprintf("%d", 1+p.rnd(p.opt.RecDepth))
+				args += fmt.Sprintf("%d", 1+p.rnd(recDepth))
 			}
 			continue
 		}
@@ -608,7 +576,7 @@ func (p *progGen) loopBody(depth, bound int, kind byte, pre func()) {
 
 func (p *progGen) forStmt(depth int) {
 	c := p.newCounter()
-	bound := 2 + p.rnd(p.opt.MaxLoop-1)
+	bound := 2 + p.rnd(maxLoop-1)
 	p.line("for (%s = 0; %s < %d; %s++) {", c, c, bound, c)
 	p.loopBody(depth, bound, 'f', nil)
 	p.line("}")
@@ -616,7 +584,7 @@ func (p *progGen) forStmt(depth int) {
 
 func (p *progGen) whileStmt(depth int) {
 	c := p.newCounter()
-	bound := 2 + p.rnd(p.opt.MaxLoop-1)
+	bound := 2 + p.rnd(maxLoop-1)
 	cond := fmt.Sprintf("%s < %d", c, bound)
 	if p.chance(0.3) {
 		// Conjoin an extra test: the counter still bounds iterations.
@@ -632,7 +600,7 @@ func (p *progGen) whileStmt(depth int) {
 
 func (p *progGen) doWhileStmt(depth int) {
 	c := p.newCounter()
-	bound := 2 + p.rnd(p.opt.MaxLoop-1)
+	bound := 2 + p.rnd(maxLoop-1)
 	p.line("%s = 0;", c)
 	p.line("do {")
 	p.loopBody(depth, bound, 'd', func() {

@@ -4,26 +4,27 @@
 // instrumentation (probes.Reconstruct), and merges it into a live
 // per-unit cross-input aggregate (profile.Accumulator).
 //
-// The store is one map from fingerprint to unit behind a read-write
-// lock, held only for a lookup or an insert. Within one unit the
+// The package keeps no table of units. Register returns a unit's live
+// state, and the caller keeps it (the server, on the unit's cache
+// entry) and hands it back with each upload. Within one unit the
 // accumulator serializes merges on a short O(profile) critical
 // section; reconstruction, the expensive step, runs outside every
 // lock. Readers obtain aggregates through epoch-swap snapshots: one
 // atomic load while no new uploads have landed.
 //
 // Every upload is validated before it can touch an aggregate: the
-// fingerprint must name a registered unit, the vector length must match
-// the unit's probe plan, escape records must be in range, and an
-// upload ID may be consumed at most once (duplicate fleet retries are
-// rejected, not double-counted). Each rejection is counted under a
-// distinct reason so a poisoning attempt is visible in /metrics.
+// vector length must match the unit's probe plan, escape records must
+// be in range, and an upload ID may be consumed at most once (duplicate
+// fleet retries are rejected, not double-counted). A caller that finds
+// no unit for a fingerprint rejects the upload through RejectUnknown.
+// Each rejection is counted under a distinct reason so a poisoning
+// attempt is visible in /metrics.
 package ingest
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"staticest/internal/obs"
@@ -57,41 +58,22 @@ type Upload struct {
 	Vector *probes.Vector
 }
 
-// Receipt acknowledges one accepted upload.
-type Receipt struct {
-	Fingerprint string
-	Program     string
-	// Uploads is the unit's merge count after this upload.
-	Uploads int
-	// Epoch is the aggregate epoch after this upload.
-	Epoch uint64
-}
-
-// UnitStats describes one live unit for /v1/profiles/stats.
-type UnitStats struct {
-	Fingerprint string
-	Program     string
-	Uploads     int
-	Epoch       uint64
-	NumProbes   int
-}
-
-// unit is one registered translation unit's live state.
-type unit struct {
-	fp      string
-	program string
-	plan    *probes.Plan
-	acc     *profile.Accumulator
+// Unit is one registered translation unit's live state: the plan its
+// uploads are reconstructed under, its aggregate, and the upload IDs it
+// has consumed. The fingerprint only labels errors and spans.
+type Unit struct {
+	fp   string
+	plan *probes.Plan
+	acc  *profile.Accumulator
 
 	mu   sync.Mutex
 	seen map[string]struct{} // consumed upload IDs
 }
 
-// Store holds the live aggregates of every registered unit.
+// Store validates, reconstructs and merges uploads into the units its
+// caller keeps, and counts what it does.
 type Store struct {
-	obs  *obs.Observer
-	mu   sync.RWMutex
-	byFP map[string]*unit
+	obs *obs.Observer
 
 	uploads *obs.Counter
 	swaps   *obs.Counter
@@ -105,12 +87,11 @@ type Store struct {
 // exist (scripts/fleet_soak.sh checks for them).
 var rejectReasons = []string{"unknown_fingerprint", "invalid", "shape", "duplicate"}
 
-// NewStore creates an empty store reporting to o (nil disables
+// NewStore creates a store reporting to o (nil disables
 // observability).
 func NewStore(o *obs.Observer) *Store {
 	s := &Store{
 		obs:     o,
-		byFP:    make(map[string]*unit),
 		uploads: o.Counter("ingest_uploads_total"),
 		swaps:   o.Counter("ingest_epoch_swaps_total"),
 		units:   o.Gauge("ingest_units"),
@@ -121,44 +102,24 @@ func NewStore(o *obs.Observer) *Store {
 	return s
 }
 
-// Register makes a unit ingestible: uploads for fp are reconstructed
-// under plan and merged into a fresh accumulator. Registering an
-// already-registered fingerprint is a no-op (compilation is
-// deterministic, so the existing plan is equivalent).
-func (s *Store) Register(fp, program string, plan *probes.Plan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byFP[fp]; ok {
-		return
-	}
-	s.byFP[fp] = &unit{
-		fp:      fp,
-		program: program,
-		plan:    plan,
-		acc:     profile.NewAccumulator(),
-		seen:    make(map[string]struct{}),
-	}
+// Register makes a unit ingestible and returns its live state: uploads
+// handed back with it are reconstructed under plan and merged into a
+// fresh accumulator. The caller registers each unit once and keeps the
+// state.
+func (s *Store) Register(fp string, plan *probes.Plan) *Unit {
 	s.units.Add(1)
+	return &Unit{
+		fp:   fp,
+		plan: plan,
+		acc:  profile.NewAccumulator(),
+		seen: make(map[string]struct{}),
+	}
 }
 
-// Registered reports whether fp names a registered unit.
-func (s *Store) Registered(fp string) bool {
-	_, ok := s.lookup(fp)
-	return ok
-}
-
-// Len returns the number of registered units.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byFP)
-}
-
-func (s *Store) lookup(fp string) (*unit, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	u, ok := s.byFP[fp]
-	return u, ok
+// RejectUnknown counts an upload for a fingerprint that names no
+// registered unit and returns its ErrUnknownFingerprint error.
+func (s *Store) RejectUnknown(fp string) error {
+	return s.reject("unknown_fingerprint", ErrUnknownFingerprint, "ingest %.12s", fp)
 }
 
 // reject counts one rejection under its reason label and wraps the
@@ -168,12 +129,12 @@ func (s *Store) reject(reason string, sentinel error, format string, args ...any
 	return fmt.Errorf(format+": %w", append(args, sentinel)...)
 }
 
-// Ingest validates one upload, reconstructs its full profile, and
-// merges it into the unit's live aggregate. Validation failures map to
-// the sentinel errors above (check with errors.Is) and never modify
-// the aggregate.
-func (s *Store) Ingest(fp string, up Upload) (*Receipt, error) {
-	return s.IngestCtx(context.Background(), fp, up)
+// Ingest validates one upload, reconstructs its full profile, merges it
+// into u's live aggregate, and returns the unit's merge count after it.
+// Validation failures map to the sentinel errors above (check with
+// errors.Is) and never modify the aggregate.
+func (s *Store) Ingest(u *Unit, up Upload) (int, error) {
+	return s.IngestCtx(context.Background(), u, up)
 }
 
 // IngestCtx is Ingest under request-scoped tracing: the upload's
@@ -181,27 +142,23 @@ func (s *Store) Ingest(fp string, up Upload) (*Receipt, error) {
 // reconstruction also timed as its own "probes.reconstruct" child)
 // parents from ctx's span when one is present, so a served upload
 // appears in its HTTP request's span tree.
-func (s *Store) IngestCtx(ctx context.Context, fp string, up Upload) (rcpt *Receipt, err error) {
-	sp := obs.StartSpanFrom(ctx, s.obs, "ingest.merge", obs.KV("fp", short(fp)))
+func (s *Store) IngestCtx(ctx context.Context, u *Unit, up Upload) (int, error) {
+	sp := obs.StartSpanFrom(ctx, s.obs, "ingest.merge", obs.KV("fp", short(u.fp)))
 	defer sp.End()
-	u, ok := s.lookup(fp)
-	if !ok {
-		return nil, s.reject("unknown_fingerprint", ErrUnknownFingerprint, "ingest %.12s", fp)
-	}
 	if up.Vector == nil {
-		return nil, s.reject("invalid", ErrInvalid, "ingest %.12s: nil probe vector", fp)
+		return 0, s.reject("invalid", ErrInvalid, "ingest %.12s: nil probe vector", u.fp)
 	}
 	if len(up.Vector.Counts) != u.plan.NumProbes {
-		return nil, s.reject("shape", ErrShape,
+		return 0, s.reject("shape", ErrShape,
 			"ingest %.12s: vector has %d counters, plan wants %d",
-			fp, len(up.Vector.Counts), u.plan.NumProbes)
+			u.fp, len(up.Vector.Counts), u.plan.NumProbes)
 	}
 	if up.ID != "" {
 		u.mu.Lock()
 		_, dup := u.seen[up.ID]
 		u.mu.Unlock()
 		if dup {
-			return nil, s.reject("duplicate", ErrDuplicate, "ingest %.12s: upload %q", fp, up.ID)
+			return 0, s.reject("duplicate", ErrDuplicate, "ingest %.12s: upload %q", u.fp, up.ID)
 		}
 	}
 
@@ -210,7 +167,7 @@ func (s *Store) IngestCtx(ctx context.Context, fp string, up Upload) (rcpt *Rece
 	p, err := probes.Reconstruct(u.plan, up.Vector, nil)
 	rsp.End()
 	if err != nil {
-		return nil, s.reject("invalid", ErrInvalid, "ingest %.12s: %v", fp, err)
+		return 0, s.reject("invalid", ErrInvalid, "ingest %.12s: %v", u.fp, err)
 	}
 	p.Label = up.Label
 
@@ -220,7 +177,7 @@ func (s *Store) IngestCtx(ctx context.Context, fp string, up Upload) (rcpt *Rece
 	if up.ID != "" {
 		if _, dup := u.seen[up.ID]; dup {
 			u.mu.Unlock()
-			return nil, s.reject("duplicate", ErrDuplicate, "ingest %.12s: upload %q", fp, up.ID)
+			return 0, s.reject("duplicate", ErrDuplicate, "ingest %.12s: upload %q", u.fp, up.ID)
 		}
 		u.seen[up.ID] = struct{}{}
 	}
@@ -232,65 +189,27 @@ func (s *Store) IngestCtx(ctx context.Context, fp string, up Upload) (rcpt *Rece
 			delete(u.seen, up.ID)
 		}
 		u.mu.Unlock()
-		return nil, s.reject("shape", ErrShape, "ingest %.12s: %v", fp, err)
+		return 0, s.reject("shape", ErrShape, "ingest %.12s: %v", u.fp, err)
 	}
 	u.mu.Unlock()
 
 	s.uploads.Add(1)
-	return &Receipt{Fingerprint: fp, Program: u.program, Uploads: n, Epoch: uint64(n)}, nil
+	return n, nil
 }
 
-// Snapshot returns the unit's live aggregate, or (nil, false) when the
-// fingerprint is unknown or nothing has been ingested yet. Epoch swaps
-// triggered by this call are counted.
-func (s *Store) Snapshot(fp string) (*profile.Snapshot, bool) {
-	u, ok := s.lookup(fp)
-	if !ok {
-		return nil, false
-	}
+// Snapshot returns u's live aggregate, or (nil, false) while nothing
+// has been ingested. Epoch swaps triggered by this call are counted.
+func (s *Store) Snapshot(u *Unit) (*profile.Snapshot, bool) {
 	snap, swapped := u.acc.Snapshot()
 	if swapped {
 		s.swaps.Add(1)
 	}
-	if snap == nil {
-		return nil, false
-	}
-	return snap, true
+	return snap, snap != nil
 }
 
-// MergeOrder returns the labels of the unit's merged uploads in merge
-// order (nil for unknown fingerprints).
-func (s *Store) MergeOrder(fp string) []string {
-	u, ok := s.lookup(fp)
-	if !ok {
-		return nil
-	}
+// MergeOrder returns the labels of u's merged uploads in merge order.
+func (s *Store) MergeOrder(u *Unit) []string {
 	return u.acc.MergeOrder()
-}
-
-// Stats lists every registered unit sorted by fingerprint.
-func (s *Store) Stats() []UnitStats {
-	var all []UnitStats
-	s.mu.RLock()
-	for _, u := range s.byFP {
-		st := UnitStats{
-			Fingerprint: u.fp,
-			Program:     u.program,
-			Uploads:     u.acc.Uploads(),
-			NumProbes:   u.plan.NumProbes,
-		}
-		snap, swapped := u.acc.Snapshot()
-		if swapped {
-			s.swaps.Add(1)
-		}
-		if snap != nil {
-			st.Epoch = snap.Epoch
-		}
-		all = append(all, st)
-	}
-	s.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].Fingerprint < all[j].Fingerprint })
-	return all
 }
 
 // short truncates a fingerprint to the 12-character prefix the

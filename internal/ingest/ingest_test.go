@@ -66,20 +66,20 @@ func sparseVec(t *testing.T, u *staticest.Unit, plan *probes.Plan, arg string) *
 func TestIngestMatchesOfflineAggregate(t *testing.T) {
 	u, plan, fp := compileLoop(t)
 	st := ingest.NewStore(nil)
-	st.Register(fp, "loop.c", plan)
+	live := st.Register(fp, plan)
 
 	args := []string{"3", "9", "27", "5"}
 	var offline []*profile.Profile
 	for i, arg := range args {
 		vec := sparseVec(t, u, plan, arg)
-		rec, err := staticest.Reconstruct(plan, vec, nil)
+		rec, err := staticest.Reconstruct(plan, vec)
 		if err != nil {
 			t.Fatalf("reconstruct %q: %v", arg, err)
 		}
 		rec.Label = arg
 		offline = append(offline, rec)
 
-		rcpt, err := st.Ingest(fp, ingest.Upload{
+		n, err := st.Ingest(live, ingest.Upload{
 			ID:     fmt.Sprintf("u%d", i),
 			Label:  arg,
 			Vector: vec,
@@ -87,11 +87,11 @@ func TestIngestMatchesOfflineAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ingest %q: %v", arg, err)
 		}
-		if rcpt.Uploads != i+1 || rcpt.Program != "loop.c" {
-			t.Fatalf("receipt = %+v, want uploads %d", rcpt, i+1)
+		if n != i+1 {
+			t.Fatalf("merge count = %d, want %d", n, i+1)
 		}
 
-		snap, ok := st.Snapshot(fp)
+		snap, ok := st.Snapshot(live)
 		if !ok {
 			t.Fatal("no snapshot after ingest")
 		}
@@ -103,7 +103,7 @@ func TestIngestMatchesOfflineAggregate(t *testing.T) {
 			t.Fatalf("after %d uploads, live aggregate differs from offline: %v", i+1, diffs[0])
 		}
 	}
-	if got := st.MergeOrder(fp); fmt.Sprint(got) != fmt.Sprint(args) {
+	if got := st.MergeOrder(live); fmt.Sprint(got) != fmt.Sprint(args) {
 		t.Errorf("merge order %v, want %v", got, args)
 	}
 }
@@ -115,41 +115,43 @@ func TestIngestRejections(t *testing.T) {
 	u, plan, fp := compileLoop(t)
 	o := obs.New()
 	st := ingest.NewStore(o)
-	st.Register(fp, "loop.c", plan)
+	live := st.Register(fp, plan)
 
 	good := sparseVec(t, u, plan, "4")
-	if _, err := st.Ingest(fp, ingest.Upload{ID: "first", Label: "4", Vector: good}); err != nil {
+	if _, err := st.Ingest(live, ingest.Upload{ID: "first", Label: "4", Vector: good}); err != nil {
 		t.Fatalf("good upload rejected: %v", err)
 	}
-	baseline, _ := st.Snapshot(fp)
+	baseline, _ := st.Snapshot(live)
 
+	upload := func(up ingest.Upload) func() error {
+		return func() error { _, err := st.Ingest(live, up); return err }
+	}
 	cases := []struct {
 		name     string
-		fp       string
-		up       ingest.Upload
+		ingest   func() error
 		sentinel error
 		counter  string
 	}{
-		{"unknown fingerprint", "deadbeef", ingest.Upload{Vector: good},
+		{"unknown fingerprint", func() error { return st.RejectUnknown("deadbeef") },
 			ingest.ErrUnknownFingerprint, "unknown_fingerprint"},
-		{"duplicate id", fp, ingest.Upload{ID: "first", Vector: good},
+		{"duplicate id", upload(ingest.Upload{ID: "first", Vector: good}),
 			ingest.ErrDuplicate, "duplicate"},
-		{"nil vector", fp, ingest.Upload{ID: "nilvec"},
+		{"nil vector", upload(ingest.Upload{ID: "nilvec"}),
 			ingest.ErrInvalid, "invalid"},
-		{"short vector", fp, ingest.Upload{ID: "short",
-			Vector: &probes.Vector{Counts: make([]float64, plan.NumProbes-1)}},
+		{"short vector", upload(ingest.Upload{ID: "short",
+			Vector: &probes.Vector{Counts: make([]float64, plan.NumProbes-1)}}),
 			ingest.ErrShape, "shape"},
-		{"long vector", fp, ingest.Upload{ID: "long",
-			Vector: &probes.Vector{Counts: make([]float64, plan.NumProbes+3)}},
+		{"long vector", upload(ingest.Upload{ID: "long",
+			Vector: &probes.Vector{Counts: make([]float64, plan.NumProbes+3)}}),
 			ingest.ErrShape, "shape"},
-		{"bad escape", fp, ingest.Upload{ID: "esc", Vector: &probes.Vector{
+		{"bad escape", upload(ingest.Upload{ID: "esc", Vector: &probes.Vector{
 			Counts:  append([]float64(nil), good.Counts...),
 			Escapes: []probes.Escape{{Func: 99, Block: 0}},
-		}}, ingest.ErrInvalid, "invalid"},
+		}}), ingest.ErrInvalid, "invalid"},
 	}
 	for _, tc := range cases {
 		before := o.Counter(obs.Labels("ingest_rejects_total", "reason", tc.counter)).Value()
-		_, err := st.Ingest(tc.fp, tc.up)
+		err := tc.ingest()
 		if !errors.Is(err, tc.sentinel) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.sentinel)
 		}
@@ -159,7 +161,7 @@ func TestIngestRejections(t *testing.T) {
 		}
 	}
 
-	snap, _ := st.Snapshot(fp)
+	snap, _ := st.Snapshot(live)
 	if snap.Uploads != 1 || snap.Epoch != baseline.Epoch {
 		t.Fatalf("aggregate modified by rejected uploads: %d uploads, epoch %d",
 			snap.Uploads, snap.Epoch)
@@ -168,7 +170,7 @@ func TestIngestRejections(t *testing.T) {
 		t.Fatalf("aggregate poisoned by rejected upload: %v", diffs[0])
 	}
 	// A fresh ID with a valid vector is still accepted after the storm.
-	if _, err := st.Ingest(fp, ingest.Upload{ID: "second", Label: "4b", Vector: sparseVec(t, u, plan, "4")}); err != nil {
+	if _, err := st.Ingest(live, ingest.Upload{ID: "second", Label: "4b", Vector: sparseVec(t, u, plan, "4")}); err != nil {
 		t.Fatalf("valid upload after rejections: %v", err)
 	}
 	if got := o.Counter("ingest_uploads_total").Value(); got != 2 {
@@ -183,7 +185,7 @@ func TestIngestRejections(t *testing.T) {
 func TestIngestConcurrentUploaders(t *testing.T) {
 	u, plan, fp := compileLoop(t)
 	st := ingest.NewStore(obs.New())
-	st.Register(fp, "loop.c", plan)
+	live := st.Register(fp, plan)
 
 	const uploaders = 32
 	// Pre-run the sparse executions (the interpreter is the slow part);
@@ -193,7 +195,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 	for i := 0; i < uploaders; i++ {
 		label := fmt.Sprintf("n%d", i+1)
 		vec := sparseVec(t, u, plan, fmt.Sprint(i+1))
-		rec, err := staticest.Reconstruct(plan, vec, nil)
+		rec, err := staticest.Reconstruct(plan, vec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +212,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 			defer wg.Done()
 			<-start
 			label := fmt.Sprintf("n%d", i+1)
-			if _, err := st.Ingest(fp, ingest.Upload{ID: label, Label: label, Vector: vecs[label]}); err != nil {
+			if _, err := st.Ingest(live, ingest.Upload{ID: label, Label: label, Vector: vecs[label]}); err != nil {
 				t.Errorf("ingest %s: %v", label, err)
 			}
 		}(i)
@@ -227,7 +229,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 					return
 				default:
 				}
-				if snap, ok := st.Snapshot(fp); ok && snap.Profile.Cycles <= 0 {
+				if snap, ok := st.Snapshot(live); ok && snap.Profile.Cycles <= 0 {
 					t.Error("live snapshot with non-positive cycle count")
 					return
 				}
@@ -239,7 +241,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	order := st.MergeOrder(fp)
+	order := st.MergeOrder(live)
 	if len(order) != uploaders {
 		t.Fatalf("merge order has %d entries, want %d", len(order), uploaders)
 	}
@@ -251,7 +253,7 @@ func TestIngestConcurrentUploaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := st.Snapshot(fp)
+	snap, _ := st.Snapshot(live)
 	if diffs := staticest.DiffProfiles(want, snap.Profile); len(diffs) > 0 {
 		t.Fatalf("concurrent live aggregate differs from offline merge-order aggregate: %v", diffs[0])
 	}

@@ -34,7 +34,7 @@ func TestLiveAggregateConvergence(t *testing.T) {
 		u := d.Unit
 		plan := u.PlanProbes()
 		fp := staticest.Fingerprint([]byte(d.Prog.Source))
-		st.Register(fp, d.Prog.Name, plan)
+		live := st.Register(fp, plan)
 
 		// The fleet uploads the held-out inputs (all but the first), the
 		// same complement the offline report's xprof source aggregates.
@@ -52,13 +52,13 @@ func TestLiveAggregateConvergence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: sparse run: %v", d.Prog.Name, in.Name, err)
 			}
-			if _, err := st.Ingest(fp, ingest.Upload{ID: in.Name, Label: in.Name, Vector: res.Probes}); err != nil {
+			if _, err := st.Ingest(live, ingest.Upload{ID: in.Name, Label: in.Name, Vector: res.Probes}); err != nil {
 				t.Fatalf("%s/%s: ingest: %v", d.Prog.Name, in.Name, err)
 			}
 		}
 
 		// (1) Exactness against the offline aggregate.
-		snap, ok := st.Snapshot(fp)
+		snap, ok := st.Snapshot(live)
 		if !ok {
 			t.Fatalf("%s: no live snapshot", d.Prog.Name)
 		}

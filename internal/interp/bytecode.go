@@ -125,7 +125,6 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 	code := f.Code
 	frOff := ptrOff(frBase) // the frame's offset in the stack segment
 	var counts, pv []float64
-	var factor float64
 	// tr is this activation's frame-trace slot. Nested calls append to
 	// m.trace and may reallocate its backing array, so the pointer is
 	// refreshed after every call instruction. Maintaining the trace
@@ -138,7 +137,6 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 		pv = m.pv
 	} else {
 		counts = m.prof.BlockCounts[fnIdx]
-		factor = m.factor[fnIdx]
 	}
 	for pc := 0; ; pc++ {
 		in := &code[pc]
@@ -149,7 +147,6 @@ func (m *Machine) execBC(f *bc.Func, fnIdx int, frBase uint64) value {
 		// that work's registers from the stack on every block entry.
 		case bc.OpBlockFull:
 			counts[in.A]++
-			m.cycles += float64(in.B) * factor
 			m.step()
 		case bc.OpBlockSparse:
 			tr.Block = int(in.A)

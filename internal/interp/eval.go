@@ -150,6 +150,7 @@ func (m *Machine) eval(fr *frame, e cast.Expr) value {
 				m.traceAccess(x.L, addr, false)
 			}
 			r := m.eval(fr, x.R)
+			m.curPos = x.Pos() // the operator's, as for a binary operator
 			v = convert(m, m.binop(x.Op.BinOp(), cur, r), t)
 		}
 		m.store(addr, t, v)

@@ -386,7 +386,21 @@ int main(void) {
   x /= z();
   return x;
 }`,
-			err: "runtime error at test.c:7:9: integer division by zero"},
+			err: "runtime error at test.c:7:5: integer division by zero"},
+		// A compound assignment faults at its operator, as the binary
+		// operator it stands for does.
+		{name: "compound divide", src: `int main(void) {
+  int x = 1, y = 0;
+  x /= y;
+  return x;
+}`,
+			err: "runtime error at test.c:3:5: integer division by zero"},
+		{name: "plain divide", src: `int main(void) {
+  int x = 1, y = 0;
+  x = x / y;
+  return x;
+}`,
+			err: "runtime error at test.c:3:9: integer division by zero"},
 	})
 }
 
@@ -463,14 +477,21 @@ int work(int n) {
 	return s;
 }
 int main(void) { return work(1000) & 0; }`
-	base := run(t, src, interp.Options{})
-	opt := run(t, src, interp.Options{OptFactor: map[int]float64{0: 0.5}})
-	if opt.Profile.Cycles >= base.Profile.Cycles {
-		t.Errorf("optimized cycles %g not below baseline %g",
-			opt.Profile.Cycles, base.Profile.Cycles)
+	cp := compile(t, src)
+	res, err := interp.Run(cp, interp.Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	base := res.Profile.Cycles
+	if priced := cfg.Cycles(cp, res.Profile.BlockCounts, nil); priced != base {
+		t.Errorf("run reports %g cycles, its block counts price at %g", base, priced)
+	}
+	opt := cfg.Cycles(cp, res.Profile.BlockCounts, map[int]float64{0: 0.5})
+	if opt >= base {
+		t.Errorf("optimized cycles %g not below baseline %g", opt, base)
 	}
 	// work dominates: halving it should cut total cycles by ~half.
-	ratio := opt.Profile.Cycles / base.Profile.Cycles
+	ratio := opt / base
 	if ratio > 0.6 {
 		t.Errorf("cycle ratio %g, want < 0.6", ratio)
 	}

@@ -2,8 +2,8 @@
 // in for the paper's instrumented native binaries: executing a program on
 // an input while recording the exact dynamic counts a profiler would —
 // basic-block executions, branch directions, switch arms, function
-// invocations, and call-site counts — plus simulated cycles under a
-// simple cost model used by the selective-optimization experiment.
+// invocations, and call-site counts — plus simulated cycles, the block
+// counts priced by cfg.Cycles when the run ends.
 package interp
 
 import (
@@ -110,10 +110,6 @@ type Options struct {
 	// MaxSteps bounds the number of basic-block executions (0 means the
 	// default of 200 million).
 	MaxSteps int64
-	// OptFactor scales the per-block cost of "optimized" functions
-	// (indexed by function index); unset entries cost 1.0. Used by the
-	// Figure 10 selective-optimization experiment.
-	OptFactor map[int]float64
 	// Instrumentation selects full or sparse profiling.
 	Instrumentation Instrumentation
 	// Plan is the probe placement for sparse instrumentation; it must
@@ -188,15 +184,13 @@ type Machine struct {
 	globalSeg []uint64 // by GlobalIndex
 	strSeg    []uint64 // by StrLit.DataIndex
 
-	stdin  []byte
-	inPos  int
-	out    bytes.Buffer
-	rng    uint64
-	prof   *profile.Profile
-	steps  int64
-	maxT   int64
-	cycles float64
-	factor []float64 // per-function cost factor
+	stdin []byte
+	inPos int
+	out   bytes.Buffer
+	rng   uint64
+	prof  *profile.Profile
+	steps int64
+	maxT  int64
 
 	// Sparse instrumentation state, under Run only: the probe plan, the
 	// counter vector, and the active-frame trace (one entry per live
@@ -327,7 +321,7 @@ func (m *Machine) result(code int) *Result {
 		}
 		return res
 	}
-	m.prof.Cycles = m.cycles
+	m.prof.Cycles = cfg.Cycles(m.cfgP, m.prof.BlockCounts, nil)
 	res.Profile = m.prof
 	return res
 }
@@ -398,15 +392,6 @@ func newMachine(p *cfg.Program, opts Options) *Machine {
 	} else {
 		blocksPerFunc, numSites, numBranches, switchArms := cfg.ProfileShape(p)
 		m.prof = profile.New(blocksPerFunc, numSites, numBranches, switchArms)
-	}
-	m.factor = make([]float64, len(sp.Funcs))
-	for i := range m.factor {
-		m.factor[i] = 1.0
-	}
-	for i, f := range opts.OptFactor {
-		if i >= 0 && i < len(m.factor) {
-			m.factor[i] = f
-		}
 	}
 	// Segment 1: the stack, backed by stackInit bytes until a frame or an
 	// access reaches past them.
@@ -740,11 +725,9 @@ func (m *Machine) pushFrame(fd *cast.FuncDecl) int64 {
 func (m *Machine) execute(fr *frame, g *cfg.Graph, fnIdx int) value {
 	blk := g.Entry
 	counts := m.prof.BlockCounts[fnIdx]
-	factor := m.factor[fnIdx]
 	for {
 		m.step()
 		counts[blk.ID]++
-		m.cycles += float64(1+len(blk.Stmts)) * factor
 
 		for _, s := range blk.Stmts {
 			m.execStmt(fr, s)

@@ -35,7 +35,7 @@ int main(void) {
 	unsigned u = 7, z = 0;
 	u %= z;
 	return u;
-}`, err: "runtime error at test.c:4:2: integer remainder by zero"},
+}`, err: "runtime error at test.c:4:4: integer remainder by zero"},
 	{name: "unsigned", src: `
 int main(void) {
 	unsigned u = 0, x = 2147483648u;

@@ -137,18 +137,6 @@ func WeightedMean(scores, weights []float64) float64 {
 	return sw / tw
 }
 
-// Mean is the unweighted average.
-func Mean(scores []float64) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	t := 0.0
-	for _, s := range scores {
-		t += s
-	}
-	return t / float64(len(scores))
-}
-
 // MissRate aggregates branch-prediction misses: predictions[i] is the
 // predicted taken-direction of branch site i, taken/not are the dynamic
 // outcome counts, and skip[i] excludes a site (constant conditions).

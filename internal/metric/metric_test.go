@@ -172,12 +172,3 @@ func TestWeightedMean(t *testing.T) {
 		t.Errorf("empty mean = %g", got)
 	}
 }
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); !approx(got, 2) {
-		t.Errorf("mean = %g", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("empty mean = %g", got)
-	}
-}

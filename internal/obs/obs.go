@@ -81,9 +81,6 @@ func New(opts ...Option) *Observer {
 	return o
 }
 
-// Enabled reports whether the observer records anything.
-func (o *Observer) Enabled() bool { return o != nil }
-
 // --- counters and gauges ----------------------------------------------------
 
 // Counter is a monotonically increasing int64 metric. A nil *Counter

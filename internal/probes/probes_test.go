@@ -58,7 +58,7 @@ func checkExact(t *testing.T, src string, opts interp.Options) *probes.Plan {
 		if sparse.Profile != nil {
 			t.Errorf("sparse run returned a profile")
 		}
-		rec, err := probes.Reconstruct(plan, sparse.Probes, opts.OptFactor)
+		rec, err := probes.Reconstruct(plan, sparse.Probes, nil)
 		if err != nil {
 			t.Fatalf("reconstruct: %v", err)
 		}
@@ -211,8 +211,10 @@ int main(void) {
 }
 
 func TestExactOptFactorCycles(t *testing.T) {
-	// Cycle reconstruction must honor per-function cost factors.
-	checkExact(t, `
+	// Cycle reconstruction must honor per-function cost factors: the
+	// reconstructed total equals the full run's counts priced under the
+	// same factors.
+	cp := compile(t, `
 int work(int n) {
 	int i, s = 0;
 	for (i = 0; i < n; i++)
@@ -222,7 +224,28 @@ int work(int n) {
 int main(void) {
 	printf("%d\n", work(50) + work(20));
 	return 0;
-}`, interp.Options{OptFactor: map[int]float64{0: 0.5}})
+}`)
+	full, err := interp.Run(cp, interp.Options{})
+	if err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	plan := probes.BuildPlan(cp, nil)
+	sparse, err := interp.Run(cp, interp.Options{Instrumentation: interp.SparseInstrumentation, Plan: plan})
+	if err != nil {
+		t.Fatalf("sparse run: %v", err)
+	}
+	factor := map[int]float64{0: 0.5}
+	rec, err := probes.Reconstruct(plan, sparse.Probes, factor)
+	if err != nil {
+		t.Fatalf("reconstruct: %v", err)
+	}
+	want := cfg.Cycles(cp, full.Profile.BlockCounts, factor)
+	if rec.Cycles != want {
+		t.Errorf("reconstructed cycles %g, want %g", rec.Cycles, want)
+	}
+	if want >= full.Profile.Cycles {
+		t.Errorf("factored cycles %g not below the full run's %g", want, full.Profile.Cycles)
+	}
 }
 
 func TestEntryArcNeverProbed(t *testing.T) {

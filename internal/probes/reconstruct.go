@@ -39,9 +39,9 @@ func (v *Vector) Increments() float64 {
 // Reconstruct recovers the complete profile of a sparse run: every
 // block count, function invocation count, branch outcome, switch-arm
 // count, and call-site count, plus the simulated cycle total, exactly
-// as full instrumentation would have reported them. optFactor mirrors
-// interp.Options.OptFactor (per-function cycle cost scaling); nil means
-// every function costs 1.0 per block statement, the default.
+// as full instrumentation would have reported them. optFactor is the
+// per-function cost factor cfg.Cycles prices the counts with; nil
+// prices every function as a full run does.
 func Reconstruct(plan *Plan, vec *Vector, optFactor map[int]float64) (*profile.Profile, error) {
 	if vec == nil {
 		return nil, fmt.Errorf("probes: nil probe vector")
@@ -80,17 +80,7 @@ func Reconstruct(plan *Plan, vec *Vector, optFactor map[int]float64) (*profile.P
 		}
 	}
 
-	// Simulated cycles: each block execution costs 1 + len(Stmts),
-	// scaled by the per-function optimization factor.
-	for fi, g := range plan.prog.Graphs {
-		factor := 1.0
-		if f, ok := optFactor[fi]; ok {
-			factor = f
-		}
-		for _, blk := range g.Blocks {
-			p.Cycles += p.BlockCounts[fi][blk.ID] * float64(1+len(blk.Stmts)) * factor
-		}
-	}
+	p.Cycles = cfg.Cycles(plan.prog, p.BlockCounts, optFactor)
 	return p, nil
 }
 

@@ -55,7 +55,7 @@ func TestSuiteSparseExactness(t *testing.T) {
 					string(sparse.Output) != string(full.Output) {
 					t.Errorf("%s: sparse run diverged behaviorally", in.Name)
 				}
-				rec, err := staticest.Reconstruct(plan, sparse.Probes, nil)
+				rec, err := staticest.Reconstruct(plan, sparse.Probes)
 				if err != nil {
 					t.Fatalf("%s: reconstruct: %v", in.Name, err)
 				}

@@ -30,8 +30,8 @@ type Profile struct {
 	// SwitchArm[switchSiteID][armIndex] counts switch dispatches.
 	SwitchArm [][]float64
 
-	// Cycles is the simulated cost of the run under the interpreter's
-	// cost model (used by the selective-optimization experiment).
+	// Cycles is the simulated cost of the run: its block counts priced
+	// by the interpreter's cost model (cfg.Cycles).
 	Cycles float64
 }
 
@@ -180,9 +180,4 @@ func Aggregate(profiles []*Profile) (*Profile, error) {
 		}
 	}
 	return agg, nil
-}
-
-// BlockVector flattens the block counts of one function.
-func (p *Profile) BlockVector(funcIndex int) []float64 {
-	return p.BlockCounts[funcIndex]
 }

@@ -176,11 +176,3 @@ func TestAggregateScaleInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBlockVector(t *testing.T) {
-	p := sample()
-	v := p.BlockVector(1)
-	if len(v) != 3 || v[2] != 30 {
-		t.Errorf("BlockVector = %v", v)
-	}
-}

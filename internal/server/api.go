@@ -400,7 +400,7 @@ func (s *Server) handleProfile(r *http.Request) (any, error) {
 		if err != nil {
 			return nil, errUnprocessable("run %s: %v", u.Name, err)
 		}
-		prof, err = staticest.Reconstruct(plan, res.Probes, nil)
+		prof, err = staticest.Reconstruct(plan, res.Probes)
 		if err != nil {
 			return nil, errUnprocessable("reconstruct %s: %v", u.Name, err)
 		}
@@ -587,17 +587,19 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 	// Measured-profile sources and profile-scored reports need the
 	// suite's inputs.
 	var selfSrc *opt.Source
+	var measured []*profile.Profile
 	needProfile := kind == "profile" || kind == "xprof" || want["layout"] || want["spill"]
 	if needProfile {
 		if prog == nil {
 			return nil, errBadRequest("freq_source %q and the layout/spill reports compare against measured profiles and need a suite program", kind)
 		}
-		d, err := eval.LoadCached(prog)
+		d, err := c.suiteProfiles(r.Context(), prog)
 		if err != nil {
 			return nil, errUnprocessable("profiling %s: %v", prog.Name, err)
 		}
-		// Score against the cache's unit so all reports share one CFG.
-		self, err := profile.Aggregate(d.Profiles)
+		// Measured on the cache's unit, so all reports share one CFG.
+		measured = d.Profiles
+		self, err := profile.Aggregate(measured)
 		if err != nil {
 			return nil, errUnprocessable("aggregating %s profiles: %v", prog.Name, err)
 		}
@@ -611,12 +613,8 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 	case "profile":
 		fsrc = selfSrc
 	case opt.LiveSourceName:
-		if ls, ok := s.liveSource(c); ok {
-			fsrc = ls
-			if snap, ok := s.ingest.Snapshot(c.fingerprint); ok {
-				uploads = snap.Uploads
-			}
-		} else {
+		var warm bool
+		if fsrc, uploads, warm = s.liveSource(c); !warm {
 			// Cold fingerprint: nothing ingested yet, so the static
 			// estimator serves until the fleet warms it up.
 			fallback = "smart"
@@ -625,8 +623,7 @@ func (s *Server) handleOptimize(r *http.Request) (any, error) {
 			}
 		}
 	case "xprof":
-		d, _ := eval.LoadCached(prog) // cached above
-		held := d.Profiles
+		held := measured
 		if len(held) > 1 {
 			held = held[1:]
 		}
@@ -814,7 +811,11 @@ func (s *Server) handleExplain(r *http.Request) (any, error) {
 		}
 	}
 
-	d, err := eval.LoadCached(p)
+	c, err := s.compileCached(r.Context(), p.Name+".c", []byte(p.Source))
+	if err != nil {
+		return nil, err
+	}
+	d, err := c.suiteProfiles(r.Context(), p)
 	if err != nil {
 		return nil, errUnprocessable("profiling %s: %v", p.Name, err)
 	}

@@ -5,19 +5,25 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"staticest"
 	"staticest/internal/core"
+	"staticest/internal/eval"
+	"staticest/internal/ingest"
 	"staticest/internal/probes"
+	"staticest/internal/suite"
 )
 
 // compiled is one cached compilation: the unit plus lazily-memoized
-// derived artifacts (static estimates, probe plan, serialized response
-// bodies) that every request for the same source would otherwise
-// recompute. The memoization makes the cache-hit path pure serving:
-// after the first estimate request for a (source, options) pair, later
-// ones only copy bytes.
+// derived artifacts (static estimates, probe plan, a suite program's
+// measured profiles, serialized response bodies) that every request for
+// the same source would otherwise recompute, and, once the unit is
+// pinned, its live aggregate. The memoization makes the cache-hit path
+// pure serving: after the first estimate request for a (source,
+// options) pair, later ones only copy bytes.
 type compiled struct {
 	unit        *staticest.Unit
 	fingerprint string
@@ -27,6 +33,14 @@ type compiled struct {
 
 	planOnce sync.Once
 	plan     *probes.Plan
+
+	measuredOnce sync.Once
+	measured     *eval.ProgramData
+	measuredErr  error
+
+	// live is the unit's ingest state, set once by unitCache.pin; nil
+	// while the unit is not live.
+	live atomic.Pointer[ingest.Unit]
 
 	// memo caches fully-encoded response bodies keyed by an options
 	// string (e.g. "estimate|top=10|reuse=false"). Each entry is
@@ -64,6 +78,17 @@ func (c *compiled) estimates(ctx context.Context) *core.Estimates {
 func (c *compiled) probePlan(ctx context.Context) *probes.Plan {
 	c.planOnce.Do(func() { c.plan = c.unit.PlanProbesCtx(ctx) })
 	return c.plan
+}
+
+// suiteProfiles returns the profiles of suite program p, whose source
+// is the unit's, on each of its inputs, measured on first use on this
+// unit with its estimates. The runs do not watch ctx, so the memo never
+// holds a cancellation.
+func (c *compiled) suiteProfiles(ctx context.Context, p *suite.Program) (*eval.ProgramData, error) {
+	c.measuredOnce.Do(func() {
+		c.measured, c.measuredErr = eval.LoadUnit(p, c.unit, c.estimates(ctx))
+	})
+	return c.measured, c.measuredErr
 }
 
 // response returns the encoded response body for key, building and
@@ -119,11 +144,13 @@ func encodeBody(v any) ([]byte, error) {
 }
 
 // unitCache is the server's one table of compiled units, keyed by
-// source fingerprint. Units live in a bounded LRU, except pinned ones:
-// a unit with a live aggregate moves out of the LRU and is never
-// evicted, so an ingested fingerprint stays one resident copy that
-// /v1/profiles/stats and freq_source "live" can always resolve. The
-// same limit bounds the LRU's units and, separately, the pinned ones.
+// source fingerprint, and the only place the server keeps per-unit
+// state. Units live in a bounded LRU, except pinned ones: pinning a
+// unit registers its live aggregate on the entry and moves the entry
+// out of the LRU for good, so an ingested fingerprint stays one
+// resident copy that /v1/profiles/stats and freq_source "live" can
+// always resolve. A unit is pinned exactly when it is live. The same
+// limit bounds the LRU's units and, separately, the pinned ones.
 //
 // One mutex guards the table. A miss is deduplicated by singleflight:
 // when N requests for the same uncached source arrive concurrently,
@@ -133,7 +160,8 @@ func encodeBody(v any) ([]byte, error) {
 type unitCache struct {
 	mu      sync.Mutex
 	limit   int
-	lru     list.List // unpinned units, front = most recently used; values are *compiled
+	store   *ingest.Store // registers a unit's live state when it is pinned
+	lru     list.List     // unpinned units, front = most recently used; values are *compiled
 	byKey   map[string]*list.Element
 	pinned  map[string]*compiled
 	flights map[string]*flight
@@ -147,10 +175,11 @@ type flight struct {
 }
 
 // newUnitCache builds a cache holding at most limit unpinned units and
-// limit pinned ones.
-func newUnitCache(limit int) *unitCache {
+// limit pinned ones, whose live state store registers.
+func newUnitCache(limit int, store *ingest.Store) *unitCache {
 	return &unitCache{
 		limit:   limit,
+		store:   store,
 		byKey:   make(map[string]*list.Element),
 		pinned:  make(map[string]*compiled),
 		flights: make(map[string]*flight),
@@ -219,25 +248,51 @@ func (uc *unitCache) lookup(key string) (*compiled, bool) {
 	return uc.findLocked(key)
 }
 
-// pin moves c out of the LRU for good. A unit the LRU evicted before
-// the pin is pinned all the same; a pinned key is never compiled again.
-// At most limit units are pinned: past that, pin leaves a new unit
+// pin makes c's unit live and returns the pinned copy, which holds the
+// live state. The first copy of a fingerprint to be pinned registers a
+// live aggregate under plan and moves out of the LRU for good; a unit
+// the LRU evicted before the pin is pinned all the same, and a pinned
+// key is never compiled again. A later pin of another copy of the same
+// fingerprint, such as the unit of a compile that was in flight during
+// the first pin, returns the first copy and leaves its own copy as it
+// is. At most limit units are pinned: past that, pin leaves a new unit
 // where it is and reports false.
-func (uc *unitCache) pin(c *compiled) bool {
+func (uc *unitCache) pin(c *compiled, plan *probes.Plan) (*compiled, bool) {
 	uc.mu.Lock()
 	defer uc.mu.Unlock()
-	if _, ok := uc.pinned[c.fingerprint]; ok {
-		return true
+	if p, ok := uc.pinned[c.fingerprint]; ok {
+		return p, true
 	}
 	if len(uc.pinned) >= uc.limit {
-		return false
+		return nil, false
 	}
 	if el, ok := uc.byKey[c.fingerprint]; ok {
 		uc.lru.Remove(el)
 		delete(uc.byKey, c.fingerprint)
 	}
+	c.live.Store(uc.store.Register(c.fingerprint, plan))
 	uc.pinned[c.fingerprint] = c
-	return true
+	return c, true
+}
+
+// liveUnits returns the pinned units, the live ones, sorted by
+// fingerprint.
+func (uc *unitCache) liveUnits() []*compiled {
+	uc.mu.Lock()
+	all := make([]*compiled, 0, len(uc.pinned))
+	for _, c := range uc.pinned {
+		all = append(all, c)
+	}
+	uc.mu.Unlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].fingerprint < all[j].fingerprint })
+	return all
+}
+
+// liveLen returns the number of pinned units, the live ones.
+func (uc *unitCache) liveLen() int {
+	uc.mu.Lock()
+	defer uc.mu.Unlock()
+	return len(uc.pinned)
 }
 
 // len returns the number of resident units, pinned ones included.

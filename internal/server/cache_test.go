@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"staticest"
+	"staticest/internal/ingest"
 	"staticest/internal/obs"
 )
 
@@ -42,7 +43,7 @@ func compileStub(calls *atomic.Int64) func() (*staticest.Unit, error) {
 // the first recompiles.
 func TestCacheEviction(t *testing.T) {
 	s := New(Config{Obs: obs.New()})
-	s.cache = newUnitCache(1)
+	s.cache = newUnitCache(1, s.ingest)
 	srcA := "int main(void) { return 0; }"
 	srcB := "int main(void) { return 1; }"
 	for _, src := range []string{srcA, srcB, srcA} {
@@ -62,7 +63,7 @@ func TestCacheEviction(t *testing.T) {
 // requesting the same uncached key race into one flight — one compile,
 // one miss leader, and every caller gets the same *compiled.
 func TestCacheSingleflight(t *testing.T) {
-	uc := newUnitCache(64)
+	uc := newUnitCache(64, ingest.NewStore(nil))
 	key := fakeKey(42)
 
 	const n = 32
@@ -106,7 +107,7 @@ func TestCacheSingleflight(t *testing.T) {
 // to every waiter of its flight but never inserted: the next get for
 // the same key recompiles.
 func TestCacheCompileErrorNotCached(t *testing.T) {
-	uc := newUnitCache(64)
+	uc := newUnitCache(64, ingest.NewStore(nil))
 	key := fakeKey(7)
 	boom := errors.New("boom")
 
@@ -130,7 +131,7 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 // least recently used unit goes, a hit makes a unit the most recent,
 // and a pinned unit sits outside the bound and is never evicted.
 func TestCacheLRUOrder(t *testing.T) {
-	uc := newUnitCache(3)
+	uc := newUnitCache(3, ingest.NewStore(nil))
 	var calls atomic.Int64
 	get := func(id int) *compiled {
 		t.Helper()
@@ -157,7 +158,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	get(3)
 	resident(0, 2, 3)
 
-	uc.pin(get(2)) // hit, then out of the LRU: 3 and 0 remain in it
+	uc.pin(get(2), nil) // hit, then out of the LRU: 3 and 0 remain in it
 	get(4)
 	get(5) // evicts 0, the least recent; the pinned 2 is not counted
 	resident(2, 3, 4, 5)
@@ -171,9 +172,10 @@ func TestCacheLRUOrder(t *testing.T) {
 
 // TestCachePinDuringFlight pins that a key pinned while a compile of it
 // is in flight keeps one resident copy, the pinned one: the flight's
-// unit goes to its callers but is not inserted.
+// unit goes to its callers but is not inserted, and pinning it returns
+// the copy pinned first, whose live state its uploads must merge into.
 func TestCachePinDuringFlight(t *testing.T) {
-	uc := newUnitCache(4)
+	uc := newUnitCache(4, ingest.NewStore(nil))
 	key := fakeKey(1)
 	pinned := &compiled{unit: &staticest.Unit{}, fingerprint: key}
 	compiling, release := make(chan struct{}), make(chan struct{})
@@ -187,16 +189,29 @@ func TestCachePinDuringFlight(t *testing.T) {
 		flown <- c
 	}()
 	<-compiling
-	uc.pin(pinned)
-	close(release)
-	if c := <-flown; c == nil || c == pinned {
-		t.Errorf("flight returned %p, want its own unit", c)
+	if p, ok := uc.pin(pinned, nil); !ok || p != pinned || p.live.Load() == nil {
+		t.Fatalf("first pin = %p, %v; want the unit itself, live", p, ok)
 	}
-	if c, ok := uc.lookup(key); !ok || c != pinned {
-		t.Errorf("lookup = %p, %v; want the pinned unit", c, ok)
+	live := pinned.live.Load()
+	close(release)
+	c := <-flown
+	if c == nil || c == pinned {
+		t.Fatalf("flight returned %p, want its own unit", c)
+	}
+	if p, ok := uc.lookup(key); !ok || p != pinned {
+		t.Errorf("lookup = %p, %v; want the pinned unit", p, ok)
 	}
 	if n := uc.len(); n != 1 {
 		t.Errorf("len = %d, want 1 (one resident copy)", n)
+	}
+	if p, ok := uc.pin(c, nil); !ok || p != pinned || p.live.Load() != live {
+		t.Errorf("pin of the flight's copy = %p, %v; want the copy pinned first with its live state", p, ok)
+	}
+	if c.live.Load() != nil {
+		t.Error("pin of the flight's copy gave that copy live state of its own")
+	}
+	if n := uc.liveLen(); n != 1 {
+		t.Errorf("liveLen = %d, want 1", n)
 	}
 }
 
@@ -210,7 +225,7 @@ func TestCachePinDuringFlight(t *testing.T) {
 // observes a usable result.
 func TestCacheConcurrentMixed(t *testing.T) {
 	const limit = 16
-	uc := newUnitCache(limit)
+	uc := newUnitCache(limit, ingest.NewStore(nil))
 
 	// 8 hot keys are requested by every goroutine (hits + flights);
 	// cold keys are unique per iteration (misses + evictions), and each
@@ -252,7 +267,7 @@ func TestCacheConcurrentMixed(t *testing.T) {
 						return
 					}
 					if i == 2 {
-						pinnedOK[g] = uc.pin(c)
+						_, pinnedOK[g] = uc.pin(c, nil)
 					}
 				case 3: // reads race the writes
 					uc.lookup(hot[(g+i)%len(hot)])

@@ -294,7 +294,7 @@ func (s *Server) handleDebugStatus(w http.ResponseWriter, _ *http.Request) {
 			ItemErrors: s.batchItemErrors.Value(),
 		},
 		Ingest: IngestStatus{
-			Units:   s.ingest.Len(),
+			Units:   s.cache.liveLen(),
 			Shed:    s.shed.Value(),
 			Rejects: map[string]int64{},
 		},

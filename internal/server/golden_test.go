@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"staticest/internal/obs"
 	"staticest/internal/server"
 )
 
@@ -112,6 +113,50 @@ func TestGoldenEndpoints(t *testing.T) {
 			}
 			checkGolden(t, tc.name+".json", got)
 		})
+	}
+}
+
+// TestSuiteProfilesOnEntry pins that explain and optimize measure a
+// suite program on its cache entry: explaining compress compiles it
+// once, a later optimize with the profile-scored layout and spill
+// reports is a cache hit on the same entry, and both replies equal
+// their goldens.
+func TestSuiteProfilesOnEntry(t *testing.T) {
+	o := obs.New()
+	_, ts := newTestServer(t, server.Config{Obs: o})
+	hits, misses := o.Counter("server_cache_hit"), o.Counter("server_cache_miss")
+	hitsBefore, missesBefore := hits.Value(), misses.Value()
+
+	resp, err := http.Get(ts.URL + "/v1/explain?program=compress&top=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	explained, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d, err %v: %s", resp.StatusCode, err, explained)
+	}
+	status, optimized := post(t, ts.URL+"/v1/optimize", `{"program":"compress","freq_source":"smart","budget":32}`)
+	if status != http.StatusOK {
+		t.Fatalf("optimize: status %d: %s", status, optimized)
+	}
+	if got := misses.Value() - missesBefore; got != 1 {
+		t.Errorf("server_cache_miss rose by %d, want 1 (compress compiled once)", got)
+	}
+	if got := hits.Value() - hitsBefore; got != 1 {
+		t.Errorf("server_cache_hit rose by %d, want 1 (optimize found explain's entry)", got)
+	}
+	for _, g := range []struct {
+		name string
+		got  []byte
+	}{{"explain_compress.json", explained}, {"optimize_compress.json", optimized}} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("reply differs from %s:\n%s", g.name, g.got)
+		}
 	}
 }
 

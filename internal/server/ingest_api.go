@@ -53,58 +53,55 @@ type IngestResponse struct {
 	Epoch       uint64 `json:"epoch"`
 }
 
-// resolveIngestUnit maps an ingest request to a registered live unit,
-// registering it from inline source, suite name, or the compile cache
-// as needed, and returns its fingerprint. A bare fingerprint the
-// server has never seen is returned as is: the store rejects it and
-// counts the rejection.
-func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (string, error) {
+// resolveIngestUnit maps an ingest request to its live unit's cache
+// entry, registering the unit from inline source, suite name, or the
+// compile cache as needed. A bare fingerprint the server has never
+// seen is rejected and counted as unknown.
+func (s *Server) resolveIngestUnit(ctx context.Context, req *IngestRequest) (*compiled, error) {
 	if req.Program != "" || req.Source != "" {
 		name, src, _, err := req.resolve()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		c, err := s.compileCached(ctx, name, src)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		if req.Fingerprint != "" && req.Fingerprint != c.fingerprint {
-			return "", errUnprocessable("fingerprint %.12s does not match the supplied source (%.12s)",
+			return nil, errUnprocessable("fingerprint %.12s does not match the supplied source (%.12s)",
 				req.Fingerprint, c.fingerprint)
 		}
-		if err := s.registerLive(ctx, c); err != nil {
-			return "", err
-		}
-		return c.fingerprint, nil
+		return s.registerLive(ctx, c)
 	}
 	if req.Fingerprint == "" {
-		return "", errBadRequest(`ingest needs "fingerprint", "program", or "source"`)
+		return nil, errBadRequest(`ingest needs "fingerprint", "program", or "source"`)
+	}
+	c, ok := s.cache.lookup(req.Fingerprint)
+	switch {
+	case !ok:
+		return nil, errNotFound("%v: upload the source once (or query it first)",
+			s.ingest.RejectUnknown(req.Fingerprint))
+	case c.live.Load() != nil:
+		return c, nil
 	}
 	// A fingerprint the server has compiled before (estimate/optimize)
 	// but never ingested: promote it from the compile cache.
-	if !s.ingest.Registered(req.Fingerprint) {
-		if c, ok := s.cache.lookup(req.Fingerprint); ok {
-			if err := s.registerLive(ctx, c); err != nil {
-				return "", err
-			}
-		}
-	}
-	return req.Fingerprint, nil
+	return s.registerLive(ctx, c)
 }
 
-// registerLive pins c in the unit cache, so eviction cannot orphan a
-// live aggregate, and then registers it with the ingest store: every
-// registered fingerprint resolves through the cache. Past CacheSize
-// live units a new one is refused with 507: the limit does not clear
-// by waiting, so it is not a 429 a client would retry.
-func (s *Server) registerLive(ctx context.Context, c *compiled) error {
-	if !s.cache.pin(c) {
+// registerLive pins c in the unit cache, which registers its live
+// aggregate, and returns the pinned copy: eviction cannot orphan a live
+// aggregate, and every live unit resolves through the cache. Past
+// CacheSize live units a new one is refused with 507: the limit does
+// not clear by waiting, so it is not a 429 a client would retry.
+func (s *Server) registerLive(ctx context.Context, c *compiled) (*compiled, error) {
+	p, ok := s.cache.pin(c, c.probePlan(ctx))
+	if !ok {
 		s.liveRejects.Add(1)
-		return &httpError{status: http.StatusInsufficientStorage,
+		return nil, &httpError{status: http.StatusInsufficientStorage,
 			msg: fmt.Sprintf("live-unit limit of %d reached", s.cfg.CacheSize)}
 	}
-	s.ingest.Register(c.fingerprint, c.unit.Name, c.probePlan(ctx))
-	return nil
+	return p, nil
 }
 
 func (s *Server) handleIngest(r *http.Request) (any, error) {
@@ -112,7 +109,7 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	fp, err := s.resolveIngestUnit(r.Context(), &req)
+	c, err := s.resolveIngestUnit(r.Context(), &req)
 	if err != nil {
 		return nil, err
 	}
@@ -120,12 +117,10 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 	for _, e := range req.Escapes {
 		vec.Escapes = append(vec.Escapes, probes.Escape{Func: e.Func, Block: e.Block})
 	}
-	rcpt, err := s.ingest.IngestCtx(r.Context(), fp,
+	n, err := s.ingest.IngestCtx(r.Context(), c.live.Load(),
 		ingest.Upload{ID: req.UploadID, Label: req.Label, Vector: vec})
 	switch {
 	case err == nil:
-	case errors.Is(err, ingest.ErrUnknownFingerprint):
-		return nil, errNotFound("%v: upload the source once (or query it first)", err)
 	case errors.Is(err, ingest.ErrDuplicate):
 		return nil, errConflict("%v", err)
 	case errors.Is(err, ingest.ErrShape), errors.Is(err, ingest.ErrInvalid):
@@ -134,10 +129,10 @@ func (s *Server) handleIngest(r *http.Request) (any, error) {
 		return nil, err
 	}
 	return &IngestResponse{
-		Fingerprint: rcpt.Fingerprint,
-		Program:     rcpt.Program,
-		Uploads:     rcpt.Uploads,
-		Epoch:       rcpt.Epoch,
+		Fingerprint: c.fingerprint,
+		Program:     c.unit.Name,
+		Uploads:     n,
+		Epoch:       uint64(n),
 	}, nil
 }
 
@@ -177,23 +172,29 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 	fp := q.Get("fingerprint")
 	if fp == "" {
 		resp := &StatsResponse{Units: []StatsUnit{}}
-		for _, st := range s.ingest.Stats() {
-			resp.Units = append(resp.Units, StatsUnit{
-				Fingerprint: st.Fingerprint,
-				Program:     st.Program,
-				Uploads:     st.Uploads,
-				Epoch:       st.Epoch,
-				Probes:      st.NumProbes,
-			})
+		for _, c := range s.cache.liveUnits() {
+			st := StatsUnit{
+				Fingerprint: c.fingerprint,
+				Program:     c.unit.Name,
+				Probes:      c.probePlan(r.Context()).NumProbes,
+			}
+			if snap, ok := s.ingest.Snapshot(c.live.Load()); ok {
+				st.Uploads, st.Epoch = snap.Uploads, snap.Epoch
+			}
+			resp.Units = append(resp.Units, st)
 		}
 		return resp, nil
 	}
 
-	if !s.ingest.Registered(fp) {
+	var live *ingest.Unit
+	c, ok := s.cache.lookup(fp)
+	if ok {
+		live = c.live.Load()
+	}
+	if live == nil {
 		return nil, errNotFound("no live aggregate for fingerprint %.12s", fp)
 	}
-	c, _ := s.cache.lookup(fp) // registered units are pinned
-	snap, ok := s.ingest.Snapshot(fp)
+	snap, ok := s.ingest.Snapshot(live)
 	if !ok {
 		return nil, errNotFound("fingerprint %.12s is registered but has no uploads yet", fp)
 	}
@@ -203,7 +204,7 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 		Uploads:     snap.Uploads,
 		Epoch:       snap.Epoch,
 		Probes:      c.probePlan(r.Context()).NumProbes,
-		MergeOrder:  s.ingest.MergeOrder(fp),
+		MergeOrder:  s.ingest.MergeOrder(live),
 	}
 	if q.Get("agreement") != "" {
 		rows, err := eval.AgreementRows(c.unit.Name, c.unit, c.estimates(r.Context()), snap.Profile)
@@ -226,12 +227,17 @@ func (s *Server) handleStats(r *http.Request) (any, error) {
 	return &StatsResponse{Units: []StatsUnit{unit}}, nil
 }
 
-// liveSource builds the "live" frequency source of a fingerprint, or
-// reports that the fingerprint is cold.
-func (s *Server) liveSource(c *compiled) (*opt.Source, bool) {
-	snap, ok := s.ingest.Snapshot(c.fingerprint)
-	if !ok {
-		return nil, false
+// liveSource builds the "live" frequency source of a unit from its live
+// aggregate, with the aggregate's upload count, or reports that the
+// unit is cold: not live, or live with nothing ingested yet.
+func (s *Server) liveSource(c *compiled) (*opt.Source, int, bool) {
+	live := c.live.Load()
+	if live == nil {
+		return nil, 0, false
 	}
-	return opt.ProfileSource(c.unit.CFG, snap.Profile, opt.LiveSourceName), true
+	snap, ok := s.ingest.Snapshot(live)
+	if !ok {
+		return nil, 0, false
+	}
+	return opt.ProfileSource(c.unit.CFG, snap.Profile, opt.LiveSourceName), snap.Uploads, true
 }

@@ -268,6 +268,19 @@ func TestLiveUnitLimit(t *testing.T) {
 	if err != nil || health.LiveUnits != 2 {
 		t.Errorf("/healthz live_units = %d (err %v), want 2", health.LiveUnits, err)
 	}
+	// The debug snapshot and the stats list count the same live units.
+	var debug struct {
+		Ingest struct {
+			Units int `json:"units"`
+		} `json:"ingest"`
+	}
+	getJSON(t, ts.URL+"/v1/debug/status", &debug)
+	var stats server.StatsResponse
+	getJSON(t, ts.URL+"/v1/profiles/stats", &stats)
+	if debug.Ingest.Units != health.LiveUnits || len(stats.Units) != health.LiveUnits {
+		t.Errorf("live units: /v1/debug/status %d, stats list %d, /healthz %d; want all equal",
+			debug.Ingest.Units, len(stats.Units), health.LiveUnits)
+	}
 	for k := 0; k < 2; k++ {
 		if status, body := upload(k); status != http.StatusOK {
 			t.Errorf("upload to live unit %d: status %d: %s", k, status, body)
@@ -307,5 +320,18 @@ func TestIngestedUnitStaysCached(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("stats of A: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// getJSON decodes the JSON reply of GET url into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }

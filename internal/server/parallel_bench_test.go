@@ -24,7 +24,7 @@ import (
 func benchServer(b *testing.B, hotSet int) (*Server, []string, []EstimateRequest) {
 	b.Helper()
 	s := New(Config{Obs: obs.New()})
-	s.cache = newUnitCache(hotSet * 2)
+	s.cache = newUnitCache(hotSet*2, s.ingest)
 	keys := make([]string, hotSet)
 	reqs := make([]EstimateRequest, hotSet)
 	for i := 0; i < hotSet; i++ {

@@ -145,11 +145,12 @@ type Server struct {
 // New builds a Server and its routing table.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	store := ingest.NewStore(cfg.Obs)
 	s := &Server{
 		cfg:      cfg,
 		obs:      cfg.Obs,
-		cache:    newUnitCache(cfg.CacheSize),
-		ingest:   ingest.NewStore(cfg.Obs),
+		cache:    newUnitCache(cfg.CacheSize, store),
+		ingest:   store,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		mux:      http.NewServeMux(),
 		hits:     cfg.Obs.Counter("server_cache_hit"),
@@ -182,7 +183,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"status\":\"ok\",\"cached_units\":%d,\"live_units\":%d}\n",
-			s.cache.len(), s.ingest.Len())
+			s.cache.len(), s.cache.liveLen())
 	})
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		s.sampleRuntime() // scrape-fresh runtime_* gauges

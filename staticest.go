@@ -213,10 +213,9 @@ func (u *Unit) PlanProbesCtx(ctx context.Context) *ProbePlan {
 }
 
 // Reconstruct recovers the complete profile of a sparse run — exactly
-// the profile full instrumentation would have produced. optFactor must
-// match the RunOptions.OptFactor of the run (nil for the default).
-func Reconstruct(plan *ProbePlan, vec *ProbeVector, optFactor map[int]float64) (*profile.Profile, error) {
-	return probes.Reconstruct(plan, vec, optFactor)
+// the profile full instrumentation would have produced.
+func Reconstruct(plan *ProbePlan, vec *ProbeVector) (*profile.Profile, error) {
+	return probes.Reconstruct(plan, vec, nil)
 }
 
 // DiffProfiles reports every field-level mismatch between two profiles
