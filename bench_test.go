@@ -305,7 +305,7 @@ func BenchmarkAblationHeuristics(b *testing.B) {
 // starts:
 //
 //	lex        clex.Tokenize
-//	parse      cparse.ParseFile, which lexes first, as the cparse.parse span does
+//	parse      cparse.ParseFile, which lexes as it parses, as the cparse.parse span does
 //	sem        sem.Analyze, on files parsed afresh with the timer stopped,
 //	           because it annotates the AST
 //	cfg        cfg.Build

@@ -20,7 +20,15 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lexer turns C source text into tokens.
+// MaxExpansion bounds the tokens that macro expansion produces in one
+// unit. A definition spends the tokens it copies from earlier macros'
+// bodies, and each use spends its body's length. Bodies are stored
+// expanded, so without the bound a few hundred bytes of nested
+// definitions would expand into gigabytes.
+const MaxExpansion = 65536
+
+// Lexer turns C source text into tokens. Its zero value is not ready for
+// use; call Init first.
 type Lexer struct {
 	src    []byte
 	file   string
@@ -31,22 +39,20 @@ type Lexer struct {
 	// pending holds tokens produced by macro expansion, consumed before
 	// further scanning.
 	pending []ctoken.Token
-	err     error
+	// expanded counts the tokens macro expansion has produced, against
+	// MaxExpansion.
+	expanded int
 }
 
-// New creates a Lexer for src. The file name is used in positions.
-func New(file string, src []byte) *Lexer {
-	return &Lexer{
-		src:    src,
-		file:   file,
-		line:   1,
-		col:    1,
-		macros: make(map[string][]ctoken.Token),
-	}
+// Init prepares lx to scan src from its start, discarding any earlier
+// state. The file name is used in positions.
+func (lx *Lexer) Init(file string, src []byte) {
+	*lx = Lexer{src: src, file: file, line: 1, col: 1}
 }
 
 // Tokenize scans the entire input and returns the token stream, ending
-// with an EOF token.
+// with an EOF token. The parser does not call it: it pulls tokens from a
+// Lexer as it parses.
 //
 // The stream is allocated once: C source runs more than two bytes per
 // token (2.3 to 4.1 over the suite and generated programs), so
@@ -54,7 +60,8 @@ func New(file string, src []byte) *Lexer {
 // than that, such as a run of single-character operators, or one whose
 // macros expand, regrows the slice.
 func Tokenize(file string, src []byte) ([]ctoken.Token, error) {
-	lx := New(file, src)
+	var lx Lexer
+	lx.Init(file, src)
 	toks := make([]ctoken.Token, 0, len(src)/2+1)
 	for {
 		t, err := lx.Next()
@@ -74,6 +81,16 @@ func (lx *Lexer) pos() ctoken.Pos {
 
 func (lx *Lexer) errorf(pos ctoken.Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// spend counts n tokens of expansion, by the macro named at pos, against
+// MaxExpansion.
+func (lx *Lexer) spend(pos ctoken.Pos, n int) error {
+	lx.expanded += n
+	if lx.expanded > MaxExpansion {
+		return lx.errorf(pos, "macro expansion exceeds the %d-token limit", MaxExpansion)
+	}
+	return nil
 }
 
 func (lx *Lexer) peekByte() byte {
@@ -177,6 +194,9 @@ func (lx *Lexer) Next() (ctoken.Token, error) {
 				// name is possible because stored bodies were expanded at
 				// definition time for already-known macros only; direct
 				// self-reference is rejected in directive()).
+				if err := lx.spend(tok.Pos, len(exp)); err != nil {
+					return ctoken.Token{}, err
+				}
 				reloc := make([]ctoken.Token, len(exp))
 				for i, t := range exp {
 					t.Pos = tok.Pos
@@ -241,11 +261,17 @@ func (lx *Lexer) directive() error {
 					return lx.errorf(pos, "macro %q references itself", macro)
 				}
 				if exp, ok := lx.macros[t.Text]; ok {
+					if err := lx.spend(t.Pos, len(exp)); err != nil {
+						return err
+					}
 					body = append(body, exp...)
 					continue
 				}
 			}
 			body = append(body, t)
+		}
+		if lx.macros == nil {
+			lx.macros = make(map[string][]ctoken.Token)
 		}
 		lx.macros[macro] = body
 		return nil

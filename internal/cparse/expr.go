@@ -7,11 +7,15 @@ import (
 
 // expr parses a full expression including the comma operator.
 func (p *parser) expr() (cast.Expr, error) {
+	depth, hw := p.operand()
 	x, err := p.assignExpr()
 	if err != nil {
 		return nil, err
 	}
 	for p.at(ctoken.Comma) {
+		if err := p.infix(); err != nil {
+			return nil, err
+		}
 		pos := p.pos()
 		p.next()
 		y, err := p.assignExpr()
@@ -22,6 +26,7 @@ func (p *parser) expr() (cast.Expr, error) {
 		c.P = pos
 		x = c
 	}
+	p.operandDone(depth, hw)
 	return x, nil
 }
 
@@ -40,11 +45,15 @@ var assignOps = map[ctoken.Kind]cast.AssignOp{
 }
 
 func (p *parser) assignExpr() (cast.Expr, error) {
+	depth, hw := p.operand()
 	x, err := p.condExpr()
 	if err != nil {
 		return nil, err
 	}
 	if op, ok := assignOps[p.kind()]; ok {
+		if err := p.infix(); err != nil {
+			return nil, err
+		}
 		pos := p.pos()
 		p.next()
 		r, err := p.assignExpr()
@@ -53,18 +62,24 @@ func (p *parser) assignExpr() (cast.Expr, error) {
 		}
 		a := &cast.Assign{Op: op, L: x, R: r}
 		a.P = pos
-		return a, nil
+		x = a
 	}
+	p.operandDone(depth, hw)
 	return x, nil
 }
 
 func (p *parser) condExpr() (cast.Expr, error) {
+	depth, hw := p.operand()
 	c, err := p.binaryExpr(1)
 	if err != nil {
 		return nil, err
 	}
 	if !p.at(ctoken.Question) {
+		p.operandDone(depth, hw)
 		return c, nil
+	}
+	if err := p.infix(); err != nil {
+		return nil, err
 	}
 	pos := p.pos()
 	p.next()
@@ -81,6 +96,7 @@ func (p *parser) condExpr() (cast.Expr, error) {
 	}
 	x := &cast.Cond{C: c, Then: then, Else: els}
 	x.P = pos
+	p.operandDone(depth, hw)
 	return x, nil
 }
 
@@ -128,6 +144,7 @@ func binOpOf(k ctoken.Kind) binOp {
 // the right operand of an operator with precedence p as a
 // binaryExpr(p+1), which makes every level left-associative.
 func (p *parser) binaryExpr(minPrec int) (cast.Expr, error) {
+	depth, hw := p.operand()
 	x, err := p.castExpr()
 	if err != nil {
 		return nil, err
@@ -136,7 +153,11 @@ func (p *parser) binaryExpr(minPrec int) (cast.Expr, error) {
 		k := p.kind()
 		bo := binOpOf(k)
 		if bo.prec < minPrec {
+			p.operandDone(depth, hw)
 			return x, nil
+		}
+		if err := p.infix(); err != nil {
+			return nil, err
 		}
 		pos := p.pos()
 		p.next()
@@ -158,7 +179,10 @@ func (p *parser) binaryExpr(minPrec int) (cast.Expr, error) {
 
 // castExpr parses `(type-name) cast-expr` or falls through to unary.
 func (p *parser) castExpr() (cast.Expr, error) {
-	if p.at(ctoken.LParen) && p.typeStartsAt(p.i+1) {
+	if p.at(ctoken.LParen) && p.nextStartsType() {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		pos := p.pos()
 		p.next()
 		t, err := p.typeName()
@@ -174,22 +198,21 @@ func (p *parser) castExpr() (cast.Expr, error) {
 		}
 		c := &cast.CastExpr{To: t, X: x}
 		c.P = pos
+		p.depth--
 		return c, nil
 	}
 	return p.unaryExpr()
 }
 
-// typeStartsAt reports whether the token at index i begins a type name.
-func (p *parser) typeStartsAt(i int) bool {
-	if i >= len(p.toks) {
-		return false
-	}
-	k := p.toks[i].Kind
-	if k.IsTypeKeyword() {
+// nextStartsType reports whether the token after the current one begins
+// a type name.
+func (p *parser) nextStartsType() bool {
+	t := p.peek()
+	if t.Kind.IsTypeKeyword() {
 		return true
 	}
-	if k == ctoken.Ident {
-		_, ok := p.typedefs[p.toks[i].Text]
+	if t.Kind == ctoken.Ident {
+		_, ok := p.typedefs[t.Text]
 		return ok
 	}
 	return false
@@ -205,15 +228,25 @@ var prefixOps = map[ctoken.Kind]cast.UnaryOp{
 	ctoken.Dec:   cast.PreDec,
 }
 
+// unaryExpr parses a prefix operator's operand a level below it; unary
+// plus builds no node but nests the parse all the same.
 func (p *parser) unaryExpr() (cast.Expr, error) {
 	pos := p.pos()
 	switch p.kind() {
 	case ctoken.Plus: // unary plus is a no-op
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		p.next()
-		return p.castExpr()
+		x, err := p.castExpr()
+		p.depth--
+		return x, err
 	case ctoken.KwSizeof:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		p.next()
-		if p.at(ctoken.LParen) && p.typeStartsAt(p.i+1) {
+		if p.at(ctoken.LParen) && p.nextStartsType() {
 			p.next()
 			t, err := p.typeName()
 			if err != nil {
@@ -224,6 +257,7 @@ func (p *parser) unaryExpr() (cast.Expr, error) {
 			}
 			x := &cast.SizeofType{Of: t}
 			x.P = pos
+			p.depth--
 			return x, nil
 		}
 		inner, err := p.unaryExpr()
@@ -232,9 +266,13 @@ func (p *parser) unaryExpr() (cast.Expr, error) {
 		}
 		x := &cast.SizeofExpr{X: inner}
 		x.P = pos
+		p.depth--
 		return x, nil
 	}
 	if op, ok := prefixOps[p.kind()]; ok {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		p.next()
 		var inner cast.Expr
 		var err error
@@ -248,17 +286,29 @@ func (p *parser) unaryExpr() (cast.Expr, error) {
 		}
 		x := &cast.Unary{Op: op, X: inner}
 		x.P = pos
+		p.depth--
 		return x, nil
 	}
 	return p.postfixExpr()
 }
 
 func (p *parser) postfixExpr() (cast.Expr, error) {
+	depth, hw := p.operand()
 	x, err := p.primaryExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
+		switch p.kind() {
+		case ctoken.LBrack, ctoken.LParen, ctoken.Dot, ctoken.Arrow, ctoken.Inc, ctoken.Dec:
+			// A postfix operator takes x as its left operand.
+			if err := p.infix(); err != nil {
+				return nil, err
+			}
+		default:
+			p.operandDone(depth, hw)
+			return x, nil
+		}
 		pos := p.pos()
 		switch p.kind() {
 		case ctoken.LBrack:
@@ -308,8 +358,6 @@ func (p *parser) postfixExpr() (cast.Expr, error) {
 			n := &cast.Postfix{Inc: inc, X: x}
 			n.P = pos
 			x = n
-		default:
-			return x, nil
 		}
 	}
 }
@@ -348,6 +396,9 @@ func (p *parser) primaryExpr() (cast.Expr, error) {
 		x.P = pos
 		return x, nil
 	case ctoken.LParen:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		p.next()
 		x, err := p.expr()
 		if err != nil {
@@ -356,6 +407,7 @@ func (p *parser) primaryExpr() (cast.Expr, error) {
 		if _, err := p.expect(ctoken.RParen); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return x, nil
 	}
 	return nil, p.errorf("expected expression, found %s", p.tok())

@@ -22,25 +22,61 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+// MaxDepth bounds the height of the tree the parser builds, and with it
+// the recursion of the parser and of every pass that walks the tree.
+// Each nested statement, prefix operator, cast, parenthesis, initializer
+// list, struct body and declarator derivation (pointer, array, function
+// or parenthesized) opens a level below the current one. An infix or
+// postfix operator (binary, logical, comma, assignment, ?:, and
+// [] () . -> ++ --) comes after its left operand, and its node goes
+// above that operand's whole subtree, so it opens the level after the
+// deepest one the operand reached. A typedef's whole type is held to
+// the bound as well, so typedefs built on typedefs cannot stack
+// derivations past it. C99's translation limits are far below the
+// bound (63 nested parenthesized expressions, 127 nested blocks), and a
+// tree this high still fits the semantic pass's recursion in a few
+// megabytes of stack.
+const MaxDepth = 4096
+
+// window is the token window's capacity: a refill lexes ahead until the
+// window is full, and only an open rewind mark grows it.
+const window = 64
+
 type parser struct {
-	toks []ctoken.Token
-	i    int
+	// The parser pulls tokens from lx into a window: win[k] is token
+	// base+k of the unit, and win[i] is the current token. The window
+	// always holds the current token and the one after it. Behind i it
+	// keeps tokens only from the outermost open rewind mark (token mark
+	// of the unit, while marks > 0), so that a parenthesized declarator
+	// can be parsed again.
+	lx     clex.Lexer
+	win    []ctoken.Token
+	base   int
+	i      int
+	marks  int
+	mark   int
+	lexErr error // the lexer's error; the window reads EOF from there on
+
+	// depth counts the levels of the tree open at the current token,
+	// against MaxDepth. hw is the deepest level reached inside the
+	// current left operand: an infix operator found after its left
+	// operand puts a node above that operand's whole subtree.
+	depth int
+	hw    int
 
 	typedefs map[string]*ctypes.Type
+	heights  map[*ctypes.Type]int // typeHeight's results
 	structs  map[string]*ctypes.StructInfo
 	enums    map[string]int64 // enum constant values
 
 	file *cast.File
 }
 
-// ParseFile lexes and parses a translation unit.
+// ParseFile lexes and parses a translation unit. A lexical error anywhere
+// in src is reported in place of any parse error.
 func ParseFile(name string, src []byte) (*cast.File, error) {
-	toks, err := clex.Tokenize(name, src)
-	if err != nil {
-		return nil, err
-	}
 	p := &parser{
-		toks:     toks,
+		win:      make([]ctoken.Token, 0, window),
 		typedefs: make(map[string]*ctypes.Type),
 		structs:  make(map[string]*ctypes.StructInfo),
 		enums:    make(map[string]int64),
@@ -49,7 +85,18 @@ func ParseFile(name string, src []byte) (*cast.File, error) {
 			Typedefs: make(map[string]*ctypes.Type),
 		},
 	}
-	if err := p.parseFile(); err != nil {
+	p.lx.Init(name, src)
+	p.fill()
+	err := p.parseFile()
+	if err != nil {
+		// The rest of the source may still hold a lexical error.
+		for p.lex().Kind != ctoken.EOF {
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.file, nil
@@ -57,23 +104,81 @@ func ParseFile(name string, src []byte) (*cast.File, error) {
 
 // --- token plumbing ---------------------------------------------------------
 
-func (p *parser) tok() ctoken.Token  { return p.toks[p.i] }
-func (p *parser) kind() ctoken.Kind  { return p.toks[p.i].Kind }
-func (p *parser) pos() ctoken.Pos    { return p.toks[p.i].Pos }
-func (p *parser) next() ctoken.Token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) tok() ctoken.Token { return p.win[p.i] }
+func (p *parser) kind() ctoken.Kind { return p.win[p.i].Kind }
+func (p *parser) pos() ctoken.Pos   { return p.win[p.i].Pos }
 
-func (p *parser) peek(n int) ctoken.Kind {
-	if p.i+n < len(p.toks) {
-		return p.toks[p.i+n].Kind
-	}
-	return ctoken.EOF
+// peek returns the token after the current one.
+func (p *parser) peek() *ctoken.Token { return &p.win[p.i+1] }
+
+func (p *parser) next() ctoken.Token {
+	t := p.win[p.i]
+	p.advance()
+	return t
 }
+
+func (p *parser) advance() {
+	p.i++
+	if p.i+1 >= len(p.win) {
+		p.fill()
+	}
+}
+
+// fill drops the tokens the parser can no longer return to and lexes
+// ahead until the window is full and holds the token after the current
+// one. While a rewind mark is open the window grows instead of dropping
+// what lies past the mark.
+func (p *parser) fill() {
+	keep := p.i
+	if p.marks > 0 {
+		keep = p.mark - p.base
+	}
+	if keep > 0 {
+		p.win = p.win[:copy(p.win, p.win[keep:])]
+		p.base += keep
+		p.i -= keep
+	}
+	for len(p.win) < cap(p.win) || len(p.win) < p.i+2 {
+		p.win = append(p.win, p.lex())
+	}
+}
+
+// lex returns the lexer's next token, or EOF once the lexer has failed.
+func (p *parser) lex() ctoken.Token {
+	if p.lexErr == nil {
+		t, err := p.lx.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return ctoken.Token{Kind: ctoken.EOF}
+}
+
+// openMark returns the current token's place in the unit as a point to
+// rewind to, which the window keeps until closeMark. Marks nest: an inner
+// mark lies inside the outermost one's range, so only the outermost is
+// kept.
+func (p *parser) openMark() int {
+	at := p.base + p.i
+	if p.marks == 0 {
+		p.mark = at
+	}
+	p.marks++
+	return at
+}
+
+func (p *parser) closeMark() { p.marks-- }
+
+// seek makes token at of the unit, which the window holds, the current
+// one.
+func (p *parser) seek(at int) { p.i = at - p.base }
 
 func (p *parser) at(k ctoken.Kind) bool { return p.kind() == k }
 
 func (p *parser) accept(k ctoken.Kind) bool {
 	if p.at(k) {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -88,6 +193,76 @@ func (p *parser) expect(k ctoken.Kind) (ctoken.Token, error) {
 
 func (p *parser) errorf(format string, args ...any) error {
 	return &Error{Pos: p.pos(), Msg: fmt.Sprintf(format, args...)}
+}
+
+// enter opens one more level of the tree at the current token and
+// raises the high-water mark with it, so a level past MaxDepth fails the
+// first time any parse reaches it. Each caller restores depth on
+// success; a parse error ends the parse, so error paths leave it as it
+// is.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > p.hw {
+		p.hw = p.depth
+		if p.depth > MaxDepth {
+			return p.tooDeep()
+		}
+	}
+	return nil
+}
+
+func (p *parser) tooDeep() error {
+	return p.errorf("nesting exceeds the %d-level limit", MaxDepth)
+}
+
+// operand starts a left operand at the current level. It returns the
+// depth and high-water mark that operandDone restores once the operand
+// and every infix operator after it are parsed.
+func (p *parser) operand() (depth, hw int) {
+	depth, hw = p.depth, p.hw
+	p.hw = depth
+	return depth, hw
+}
+
+// infix opens the level of a node that takes the operand parsed so far as
+// its left child, below which that operand's subtree now hangs.
+func (p *parser) infix() error {
+	p.depth = p.hw
+	return p.enter()
+}
+
+func (p *parser) operandDone(depth, hw int) {
+	p.depth = depth
+	if hw > p.hw {
+		p.hw = hw
+	}
+}
+
+// typeHeight counts the derivations (pointer, array, function) on the
+// longest path down t, as passes that compare or print types recurse on
+// them; they stop at a struct. Typedefs share their types, so each
+// type's height is worked out once.
+func (p *parser) typeHeight(t *ctypes.Type) int {
+	if t.Kind != ctypes.Ptr && t.Kind != ctypes.Array && t.Kind != ctypes.Func {
+		return 0
+	}
+	if h, ok := p.heights[t]; ok {
+		return h
+	}
+	var h int
+	if t.Kind == ctypes.Func {
+		h = p.typeHeight(t.Sig.Ret)
+		for _, pt := range t.Sig.Params {
+			h = max(h, p.typeHeight(pt))
+		}
+	} else {
+		h = p.typeHeight(t.Elem)
+	}
+	if p.heights == nil {
+		p.heights = make(map[*ctypes.Type]int)
+	}
+	p.heights[t] = h + 1
+	return h + 1
 }
 
 // isTypeStart reports whether the current token begins a type specifier
@@ -148,6 +323,9 @@ func (p *parser) externalDecl() error {
 			return &Error{Pos: dpos, Msg: "declaration requires a name"}
 		}
 		if sc == scTypedef {
+			if p.typeHeight(typ) > MaxDepth {
+				return p.tooDeep()
+			}
 			p.typedefs[name] = typ
 			p.file.Typedefs[name] = typ
 		} else if typ.Kind == ctypes.Func {
@@ -352,6 +530,9 @@ func (p *parser) structSpecifier() (*ctypes.Type, error) {
 	if info.Complete {
 		return nil, p.errorf("redefinition of struct %s", tag)
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	p.next() // {
 	for !p.at(ctoken.RBrace) {
 		_, base, err := p.declSpecs()
@@ -380,6 +561,7 @@ func (p *parser) structSpecifier() (*ctypes.Type, error) {
 		}
 	}
 	p.next() // }
+	p.depth--
 	if err := info.Layout(); err != nil {
 		return nil, p.errorf("%v", err)
 	}
@@ -426,13 +608,23 @@ func (p *parser) enumSpecifier() (*ctypes.Type, error) {
 // and returns the declared name ("" for abstract declarators), the full
 // type, and — when the outermost derivation is a function — the named
 // parameter objects.
+//
+// Each pointer, array and function derivation opens a level, and the
+// inner declarator of a parenthesized one sits a level below all of
+// them, because its derivations apply on top of theirs.
 func (p *parser) declarator(base *ctypes.Type) (string, *ctypes.Type, []*cast.Object, error) {
+	depth := p.depth
 	for p.accept(ctoken.Star) {
+		if err := p.enter(); err != nil {
+			return "", nil, nil, err
+		}
 		base = ctypes.PointerTo(base)
 		for p.accept(ctoken.KwConst) || p.accept(ctoken.KwVolatile) {
 		}
 	}
-	return p.directDeclarator(base)
+	name, typ, params, err := p.directDeclarator(base)
+	p.depth = depth
+	return name, typ, params, err
 }
 
 func (p *parser) directDeclarator(base *ctypes.Type) (string, *ctypes.Type, []*cast.Object, error) {
@@ -447,7 +639,7 @@ func (p *parser) directDeclarator(base *ctypes.Type) (string, *ctypes.Type, []*c
 		// Parenthesized declarator: remember its token range, parse the
 		// suffixes first, then re-parse the inner declarator against the
 		// fully derived type.
-		innerSave = p.i
+		innerSave = p.openMark()
 		p.next() // (
 		if err := p.skipBalancedParens(); err != nil {
 			return "", nil, nil, err
@@ -461,6 +653,9 @@ func (p *parser) directDeclarator(base *ctypes.Type) (string, *ctypes.Type, []*c
 	for {
 		switch {
 		case p.at(ctoken.LBrack):
+			if err := p.enter(); err != nil {
+				return "", nil, nil, err
+			}
 			lpos := p.next().Pos
 			n := int64(-1) // incomplete []
 			if !p.at(ctoken.RBrack) {
@@ -495,6 +690,9 @@ func (p *parser) directDeclarator(base *ctypes.Type) (string, *ctypes.Type, []*c
 				return ctypes.ArrayOf(t, sz), nil
 			})
 		case p.at(ctoken.LParen):
+			if err := p.enter(); err != nil {
+				return "", nil, nil, err
+			}
 			p.next()
 			sig, ps, err := p.paramList()
 			if err != nil {
@@ -525,8 +723,11 @@ applied:
 	}
 	if innerSave >= 0 {
 		// Re-parse the inner declarator with the derived type as base.
-		after := p.i
-		p.i = innerSave + 1 // just past '('
+		if err := p.enter(); err != nil {
+			return "", nil, nil, err
+		}
+		after := p.base + p.i
+		p.seek(innerSave + 1) // just past '('
 		var err error
 		name, typ, _, err = p.declarator(typ)
 		if err != nil {
@@ -535,7 +736,8 @@ applied:
 		if _, err := p.expect(ctoken.RParen); err != nil {
 			return "", nil, nil, err
 		}
-		p.i = after
+		p.seek(after)
+		p.closeMark()
 	}
 	return name, typ, params, nil
 }
@@ -543,23 +745,30 @@ applied:
 // parenStartsDeclarator distinguishes `(*f)(...)` from a parameter list
 // `(int x)` after an identifier-less direct declarator position.
 func (p *parser) parenStartsDeclarator() bool {
-	k := p.peek(1)
-	if k == ctoken.Star {
+	t := p.peek()
+	if t.Kind == ctoken.Star {
 		return true
 	}
-	if k == ctoken.Ident {
-		_, isType := p.typedefs[p.toks[p.i+1].Text]
+	if t.Kind == ctoken.Ident {
+		_, isType := p.typedefs[t.Text]
 		return !isType
 	}
 	return false
 }
 
+// skipBalancedParens skips to just past the ')' that closes an open '('.
+// Every '(' nested inside opens at least one level when the tokens are
+// parsed again, so nesting past MaxDepth fails here, before each level
+// of a deep declarator would skip the rest of it once more.
 func (p *parser) skipBalancedParens() error {
 	depth := 1
 	for depth > 0 {
 		switch p.kind() {
 		case ctoken.LParen:
 			depth++
+			if p.depth+depth > MaxDepth {
+				return p.tooDeep()
+			}
 		case ctoken.RParen:
 			depth--
 		case ctoken.EOF:
@@ -576,7 +785,7 @@ func (p *parser) paramList() (*ctypes.Signature, []*cast.Object, error) {
 		sig.Unknown = true
 		return sig, nil, nil
 	}
-	if p.at(ctoken.KwVoid) && p.peek(1) == ctoken.RParen {
+	if p.at(ctoken.KwVoid) && p.peek().Kind == ctoken.RParen {
 		p.next()
 		p.next()
 		return sig, nil, nil
@@ -639,6 +848,9 @@ func (p *parser) typeName() (*ctypes.Type, error) {
 
 func (p *parser) initializer() (cast.Init, error) {
 	if p.at(ctoken.LBrace) {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		pos := p.pos()
 		p.next()
 		li := &cast.ListInit{P: pos}
@@ -655,6 +867,7 @@ func (p *parser) initializer() (cast.Init, error) {
 		if _, err := p.expect(ctoken.RBrace); err != nil {
 			return nil, err
 		}
+		p.depth--
 		return li, nil
 	}
 	pos := p.pos()

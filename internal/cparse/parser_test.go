@@ -1,9 +1,13 @@
 package cparse
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"staticest/internal/cast"
+	"staticest/internal/clex"
 	"staticest/internal/ctypes"
 )
 
@@ -313,6 +317,46 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ParseFile("bad.c", []byte(src)); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+}
+
+// TestLexErrorPrecedence pins that a lexical error anywhere in the
+// source is reported in place of any parse error, as when the whole
+// source was lexed before parsing began, though the parser now pulls
+// tokens as it goes. Each error lies more than a window past the
+// point the parse has reached when the lexer finds it.
+func TestLexErrorPrecedence(t *testing.T) {
+	var decls, params strings.Builder // three tokens each
+	for i := 0; i < window; i++ {
+		fmt.Fprintf(&decls, "int g%d;\n", i)
+		fmt.Fprintf(&params, "int a%d, ", i)
+	}
+	// Each use of B spends 30 copies of A's 1,999 tokens, as its
+	// definition did; the second spend crosses the budget.
+	budget := fmt.Sprintf("#define A 1%s\n#define B%s\n%sint main(void) { return B; }\n",
+		strings.Repeat(" + 1", 999), strings.Repeat(" A", 30), decls.String())
+	cases := []struct {
+		name, src, want string
+	}{
+		{"a parse error on line 1, a lex error after it",
+			"int x = ;\n" + decls.String() + "char c = 'ab';\n",
+			fmt.Sprintf("t.c:%d:10: unterminated character literal", window+2)},
+		{"a lex error inside an open declarator mark",
+			"int (*f)(" + params.String() + "int @b);\n",
+			fmt.Sprintf("t.c:1:%d: unexpected character '@'", len("int (*f)(")+params.Len()+5)},
+		{"the expansion budget crossed mid-parse", budget,
+			fmt.Sprintf("t.c:%d:25: macro expansion exceeds the %d-token limit", window+3, clex.MaxExpansion)},
+	}
+	for _, c := range cases {
+		_, lexErr := clex.Tokenize("t.c", []byte(c.src))
+		_, err := ParseFile("t.c", []byte(c.src))
+		var le *clex.Error
+		if err == nil || !errors.As(err, &le) || err.Error() != c.want {
+			t.Errorf("%s: ParseFile err = %v, want lexical error %q", c.name, err, c.want)
+		}
+		if lexErr == nil || lexErr.Error() != c.want {
+			t.Errorf("%s: Tokenize err = %v, want %q", c.name, lexErr, c.want)
 		}
 	}
 }

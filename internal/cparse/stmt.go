@@ -27,7 +27,17 @@ func (p *parser) block() (*cast.Block, error) {
 	return b, nil
 }
 
+// statement parses one statement a level below the enclosing one.
 func (p *parser) statement() (cast.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	s, err := p.stmt()
+	p.depth--
+	return s, err
+}
+
+func (p *parser) stmt() (cast.Stmt, error) {
 	pos := p.pos()
 	switch p.kind() {
 	case ctoken.LBrace:
@@ -92,7 +102,7 @@ func (p *parser) statement() (cast.Stmt, error) {
 		return s, nil
 	case ctoken.Ident:
 		// Labeled statement?
-		if p.peek(1) == ctoken.Colon {
+		if p.peek().Kind == ctoken.Colon {
 			lbl := p.next().Text
 			p.next() // :
 			inner, err := p.statement()

@@ -23,6 +23,10 @@ import (
 // larger batches get 413.
 const maxBatchItems = 256
 
+// batchItemFrame is room for the JSON around one item of a batch reply,
+// or around the whole reply.
+const batchItemFrame = 64
+
 // BatchRequest asks for estimates of many programs at once. Each item
 // is a full EstimateRequest, so items can mix suite programs and inline
 // sources with per-item options.
@@ -60,15 +64,21 @@ func (s *Server) handleBatch(r *http.Request) (any, error) {
 	results := make([]batchResult, n)
 	s.runBatch(r.Context(), req.Items, results)
 
+	// The reply is grown once: each item's framing (index, status, key
+	// names) fits in batchItemFrame bytes beside its body or message, and
+	// a message escapes to little more than its own length.
 	errCount := 0
+	size := batchItemFrame
 	for i := range results {
 		if results[i].status != http.StatusOK {
 			errCount++
 		}
+		size += batchItemFrame + len(results[i].body) + len(results[i].errMsg)
 	}
 	s.batchItemErrors.Add(int64(errCount))
 
 	var b bytes.Buffer
+	b.Grow(size)
 	fmt.Fprintf(&b, "{\n  \"count\": %d,\n  \"errors\": %d,\n  \"items\": [", n, errCount)
 	for i := range results {
 		if i > 0 {
