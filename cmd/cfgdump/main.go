@@ -127,10 +127,10 @@ func run(path string, ast, cfgF, calls, pred bool, o *staticest.Observer) error 
 	if ast {
 		fmt.Println("== AST (annotated with smart-heuristic estimated counts) ==")
 		for i, fd := range u.Sem.Funcs {
-			freq := est.StmtFreqOf(i)
+			freq := est.StmtFreqOf(u.CFG.Graphs[i])
 			var sb strings.Builder
 			cast.FprintTree(&sb, fd, func(s cast.Stmt) string {
-				if f, ok := freq[s]; ok {
+				if f, ok := freq.Of(s); ok {
 					return fmt.Sprintf("%.2f", f)
 				}
 				return ""

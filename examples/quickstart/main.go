@@ -42,9 +42,10 @@ func main() {
 	// 2. Static estimates — no execution involved.
 	est := unit.Estimate()
 	fmt.Println("AST annotated with the smart heuristic's estimated counts:")
+	freq := est.StmtFreqOf(unit.CFG.Graphs[0])
 	var tree strings.Builder
 	cast.FprintTree(&tree, unit.Sem.Funcs[0], func(s cast.Stmt) string {
-		if f, ok := est.StmtFreqOf(0)[s]; ok {
+		if f, ok := freq.Of(s); ok {
 			return fmt.Sprintf("%.1f", f)
 		}
 		return ""

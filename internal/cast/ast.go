@@ -332,13 +332,28 @@ type Comma struct {
 // Stmt is the interface implemented by all statement nodes.
 type Stmt interface {
 	Node
+	// Number returns the index of the function sem numbered the
+	// statement in and the statement's number there, dense from 0 up to
+	// that function's NumStmts. fn is -1 for a statement sem did not
+	// number (the inliner's synthetic statements). A clone keeps its
+	// original's numbers, so a lookup checks fn before it uses n.
+	Number() (fn, n int)
+	// SetNumber records the statement's numbers (used by sem).
+	SetNumber(fn, n int)
 	stmtNode()
 }
 
-type stmtBase struct{ P ctoken.Pos }
+type stmtBase struct {
+	P ctoken.Pos
+	// fn is the numbering function's index plus one, so that the zero
+	// value marks an unnumbered statement; num is the statement's number.
+	fn, num int32
+}
 
-func (s *stmtBase) Pos() ctoken.Pos { return s.P }
-func (s *stmtBase) stmtNode()       {}
+func (s *stmtBase) Pos() ctoken.Pos     { return s.P }
+func (s *stmtBase) Number() (fn, n int) { return int(s.fn) - 1, int(s.num) }
+func (s *stmtBase) SetNumber(fn, n int) { s.fn, s.num = int32(fn+1), int32(n) }
+func (s *stmtBase) stmtNode()           {}
 
 // Empty is a lone semicolon.
 type Empty struct{ stmtBase }
@@ -544,6 +559,7 @@ type FuncDecl struct {
 	FrameSize int64     // bytes of locals + params
 	Locals    []*Object // all locals in declaration order
 	Labels    []string  // declared labels
+	NumStmts  int       // statements numbered (see Stmt.Number)
 }
 
 func (d *FuncDecl) Pos() ctoken.Pos { return d.P }

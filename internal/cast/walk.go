@@ -47,7 +47,7 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 
 // WalkStmt calls fn for s and every sub-statement, pre-order. If fn
 // returns false for a node, its children are skipped. Expressions are not
-// visited; use WalkStmtExprs for that.
+// visited; use StmtExprs or WalkFuncExprs for that.
 func WalkStmt(s Stmt, fn func(Stmt) bool) {
 	if s == nil || !fn(s) {
 		return
@@ -77,66 +77,56 @@ func WalkStmt(s Stmt, fn func(Stmt) bool) {
 	}
 }
 
-// StmtExprs returns the expressions directly attached to s (not those of
-// nested statements): the expression of an ExprStmt, condition of a
-// branch, initializers of a declaration, and so on.
-func StmtExprs(s Stmt) []Expr {
+// StmtExprs calls fn for each expression directly attached to s (not
+// those of nested statements), in source order: the expression of an
+// ExprStmt, condition of a branch, initializers of a declaration, and so
+// on. It builds no slice, so the estimators can ask it about every
+// statement of a unit without allocating.
+func StmtExprs(s Stmt, fn func(Expr)) {
 	switch x := s.(type) {
 	case *ExprStmt:
-		return []Expr{x.X}
+		fn(x.X)
 	case *DeclStmt:
-		var out []Expr
 		for _, d := range x.Decls {
-			out = append(out, initExprs(d.Init)...)
+			initExprs(d.Init, fn)
 		}
-		return out
 	case *If:
-		return []Expr{x.Cond}
+		fn(x.Cond)
 	case *While:
-		return []Expr{x.Cond}
+		fn(x.Cond)
 	case *DoWhile:
-		return []Expr{x.Cond}
+		fn(x.Cond)
 	case *For:
-		var out []Expr
-		for _, e := range []Expr{x.Init, x.Cond, x.Post} {
+		for _, e := range [...]Expr{x.Init, x.Cond, x.Post} {
 			if e != nil {
-				out = append(out, e)
+				fn(e)
 			}
 		}
-		return out
 	case *Switch:
-		return []Expr{x.Tag}
+		fn(x.Tag)
 	case *Return:
 		if x.X != nil {
-			return []Expr{x.X}
+			fn(x.X)
 		}
 	}
-	return nil
 }
 
-func initExprs(in Init) []Expr {
+func initExprs(in Init, fn func(Expr)) {
 	switch v := in.(type) {
-	case nil:
-		return nil
 	case *ExprInit:
-		return []Expr{v.X}
+		fn(v.X)
 	case *ListInit:
-		var out []Expr
 		for _, e := range v.Elems {
-			out = append(out, initExprs(e)...)
+			initExprs(e, fn)
 		}
-		return out
 	}
-	return nil
 }
 
 // WalkFuncExprs visits every expression in the function body, including
 // those nested in statements, pre-order.
 func WalkFuncExprs(fd *FuncDecl, fn func(Expr) bool) {
 	WalkStmt(fd.Body, func(s Stmt) bool {
-		for _, e := range StmtExprs(s) {
-			WalkExpr(e, fn)
-		}
+		StmtExprs(s, func(e Expr) { WalkExpr(e, fn) })
 		return true
 	})
 }
@@ -162,7 +152,7 @@ func ContainsCallMatching(s Stmt, pred func(*Object) bool) bool {
 		if found {
 			return false
 		}
-		for _, e := range StmtExprs(st) {
+		StmtExprs(st, func(e Expr) {
 			WalkExpr(e, func(x Expr) bool {
 				if found {
 					return false
@@ -175,7 +165,7 @@ func ContainsCallMatching(s Stmt, pred func(*Object) bool) bool {
 				}
 				return true
 			})
-		}
+		})
 		return !found
 	})
 	return found
@@ -198,7 +188,7 @@ func ContainsReturn(s Stmt) bool {
 func StoredObjects(s Stmt) map[*Object]bool {
 	out := make(map[*Object]bool)
 	WalkStmt(s, func(st Stmt) bool {
-		for _, e := range StmtExprs(st) {
+		StmtExprs(st, func(e Expr) {
 			WalkExpr(e, func(x Expr) bool {
 				var target Expr
 				switch a := x.(type) {
@@ -217,7 +207,7 @@ func StoredObjects(s Stmt) map[*Object]bool {
 				}
 				return true
 			})
-		}
+		})
 		return true
 	})
 	return out
@@ -274,10 +264,9 @@ func ReadObjects(s Stmt) map[*Object]bool {
 			visit(x.Y, false)
 		}
 	}
+	read := func(e Expr) { visit(e, false) }
 	WalkStmt(s, func(st Stmt) bool {
-		for _, e := range StmtExprs(st) {
-			visit(e, false)
-		}
+		StmtExprs(st, read)
 		return true
 	})
 	return out

@@ -2,7 +2,6 @@ package core
 
 import (
 	"staticest/internal/callgraph"
-	"staticest/internal/cast"
 	"staticest/internal/cfg"
 )
 
@@ -48,9 +47,10 @@ func EstimateAll(cp *cfg.Program, cg *callgraph.Graph, conf Config) *Estimates {
 	e.IntraLoop = make([]*IntraResult, n)
 	e.IntraSmart = make([]*IntraResult, n)
 	e.IntraMarkov = make([]*IntraResult, n)
+	var w astWalker
 	for i, g := range cp.Graphs {
-		e.IntraLoop[i] = IntraAST(g, nil, conf)
-		e.IntraSmart[i] = IntraAST(g, e.Pred, conf)
+		e.IntraLoop[i] = w.intra(g, nil, conf)
+		e.IntraSmart[i] = w.intra(g, e.Pred, conf)
 		e.IntraMarkov[i] = IntraMarkov(g, e.Pred, conf)
 	}
 
@@ -87,8 +87,11 @@ func siteGlobalFreq(cg *callgraph.Graph, local, inv []float64) []float64 {
 	return out
 }
 
-// StmtFreqOf returns the smart AST-walk statement frequencies of a
-// function (the annotation Figure 3 of the paper prints).
-func (e *Estimates) StmtFreqOf(funcIndex int) map[cast.Stmt]float64 {
-	return e.IntraSmart[funcIndex].StmtFreq
+// StmtFreqOf returns the smart AST-walk statement frequencies of g's
+// function (the annotation Figure 3 of the paper prints). The estimates
+// keep block frequencies only, so this walks the function again.
+func (e *Estimates) StmtFreqOf(g *cfg.Graph) *StmtFreqs {
+	var w astWalker
+	w.walkFunc(g.Fn, e.Pred, e.Config)
+	return &w.out
 }

@@ -23,9 +23,7 @@ func SiteLocations(cp *cfg.Program) []*cfg.Block {
 	for _, g := range cp.Graphs {
 		for _, blk := range g.Blocks {
 			for _, s := range blk.Stmts {
-				for _, e := range cast.StmtExprs(s) {
-					record(blk, e)
-				}
+				cast.StmtExprs(s, func(e cast.Expr) { record(blk, e) })
 			}
 			if blk.Cond != nil {
 				record(blk, blk.Cond)

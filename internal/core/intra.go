@@ -10,9 +10,6 @@ import (
 type IntraResult struct {
 	// BlockFreq is indexed by CFG block ID.
 	BlockFreq []float64
-	// StmtFreq is the AST-walk frequency of every statement (AST-based
-	// estimators only; Figure 3 prints it).
-	StmtFreq map[cast.Stmt]float64
 	// Fallback marks a Markov run that fell back to the AST estimate
 	// (singular or invalid system).
 	Fallback bool
@@ -25,26 +22,62 @@ type IntraResult struct {
 // walk deliberately ignores break, continue, goto, and return, as the
 // paper's AST model does.
 func IntraAST(g *cfg.Graph, preds *Predictions, conf Config) *IntraResult {
-	w := &astWalker{
-		preds: preds,
-		conf:  conf,
-		freq:  make(map[cast.Stmt]float64),
+	var w astWalker
+	return w.intra(g, preds, conf)
+}
+
+// StmtFreqs holds one function's AST-walk statement frequencies, indexed
+// by sem's statement numbers (cast.Stmt.Number).
+type StmtFreqs struct {
+	fn   int
+	freq []float64
+}
+
+// Of returns the frequency of s. It reports false for a statement of
+// another function, such as a block the inliner cloned from a callee,
+// and for one sem did not number.
+func (sf *StmtFreqs) Of(s cast.Stmt) (float64, bool) {
+	fn, n := s.Number()
+	if fn != sf.fn {
+		return 0, false
 	}
-	w.walk(g.Fn.Body, 1.0)
-	res := &IntraResult{
-		BlockFreq: make([]float64, len(g.Blocks)),
-		StmtFreq:  w.freq,
+	return sf.freq[n], true
+}
+
+// astWalker runs the AST walk. Its statement frequencies are scratch
+// for IntraAST, so one walker reused across functions reuses their
+// slice; the walk writes every numbered statement of the function.
+type astWalker struct {
+	preds *Predictions
+	conf  Config
+	out   StmtFreqs
+}
+
+// walkFunc runs the walk over fd's body, leaving the frequency of every
+// statement in it in w.out.
+func (w *astWalker) walkFunc(fd *cast.FuncDecl, preds *Predictions, conf Config) {
+	freq := w.out.freq[:0]
+	if cap(freq) < fd.NumStmts {
+		freq = make([]float64, fd.NumStmts)
 	}
+	*w = astWalker{preds: preds, conf: conf, out: StmtFreqs{fn: fd.Obj.FuncIndex, freq: freq[:fd.NumStmts]}}
+	w.walk(fd.Body, 1.0)
+}
+
+// intra is IntraAST on w's scratch.
+func (w *astWalker) intra(g *cfg.Graph, preds *Predictions, conf Config) *IntraResult {
+	w.walkFunc(g.Fn, preds, conf)
+	res := &IntraResult{BlockFreq: make([]float64, len(g.Blocks))}
 	for i, blk := range g.Blocks {
-		res.BlockFreq[i] = w.blockFreq(g, blk)
+		res.BlockFreq[i] = w.out.blockFreq(blk)
 	}
 	return res
 }
 
-type astWalker struct {
-	preds *Predictions
-	conf  Config
-	freq  map[cast.Stmt]float64
+// set records the frequency of s, a statement of the walked function.
+func (w *astWalker) set(s cast.Stmt, f float64) {
+	_, n := s.Number()
+	w.out.freq[n] = f
 }
 
 // probTrue returns the probability the branch condition holds, per the
@@ -72,7 +105,7 @@ func (w *astWalker) walk(s cast.Stmt, f float64) {
 	if s == nil {
 		return
 	}
-	w.freq[s] = f
+	w.set(s, f)
 	switch x := s.(type) {
 	case *cast.Block:
 		for _, c := range x.Stmts {
@@ -86,18 +119,18 @@ func (w *astWalker) walk(s cast.Stmt, f float64) {
 		}
 	case *cast.While:
 		// The test runs LoopCount times per entry, the body one fewer.
-		w.freq[s] = f * w.conf.LoopCount
+		w.set(s, f*w.conf.LoopCount)
 		w.walk(x.Body, f*(w.conf.LoopCount-1))
 	case *cast.DoWhile:
-		w.freq[s] = f * w.conf.LoopCount
+		w.set(s, f*w.conf.LoopCount)
 		w.walk(x.Body, f*(w.conf.LoopCount-1))
 	case *cast.For:
-		w.freq[s] = f * w.conf.LoopCount
+		w.set(s, f*w.conf.LoopCount)
 		if x.InitS != nil {
-			w.freq[x.InitS] = f
+			w.set(x.InitS, f)
 		}
 		if x.PostS != nil {
-			w.freq[x.PostS] = f * (w.conf.LoopCount - 1)
+			w.set(x.PostS, f*(w.conf.LoopCount-1))
 		}
 		w.walk(x.Body, f*(w.conf.LoopCount-1))
 	case *cast.Switch:
@@ -129,14 +162,14 @@ func (w *astWalker) walk(s cast.Stmt, f float64) {
 // blockFreq maps the AST-walk frequency onto a CFG block through its
 // anchor statement. Loop condition blocks take the loop-test frequency;
 // body/join blocks take their first statement's frequency.
-func (w *astWalker) blockFreq(g *cfg.Graph, blk *cfg.Block) float64 {
+func (sf *StmtFreqs) blockFreq(blk *cfg.Block) float64 {
 	if len(blk.Stmts) > 0 {
-		if f, ok := w.freq[blk.Stmts[0]]; ok {
+		if f, ok := sf.Of(blk.Stmts[0]); ok {
 			return f
 		}
 	}
 	if blk.Anchor != nil {
-		if f, ok := w.freq[blk.Anchor]; ok {
+		if f, ok := sf.Of(blk.Anchor); ok {
 			// A loop's exit block anchors on the loop statement but runs
 			// once per loop entry, not once per test; detect via name.
 			return f

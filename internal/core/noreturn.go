@@ -78,9 +78,7 @@ func blockTerminates(blk *cfg.Block, noReturn map[int]bool) bool {
 		})
 	}
 	for _, s := range blk.Stmts {
-		for _, e := range cast.StmtExprs(s) {
-			check(e)
-		}
+		cast.StmtExprs(s, check)
 		if found {
 			return true
 		}

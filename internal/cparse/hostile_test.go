@@ -81,6 +81,32 @@ func levelFour() []byte {
 	return []byte(b.String())
 }
 
+// tallPointerMessages assigns a variable of a type twice MaxDepth high,
+// a typedef of MaxDepth pointers with MaxDepth-96 more on top, to a
+// struct 50 times: each assignment is an error whose message spells out
+// the type.
+func tallPointerMessages() []byte {
+	var b strings.Builder
+	b.WriteString("typedef int " + strings.Repeat("*", cparse.MaxDepth) + "T;\n")
+	b.WriteString("struct S { int x; } s;\nint main(void) {\n")
+	b.WriteString("\tT " + strings.Repeat("*", cparse.MaxDepth-96) + "v;\n")
+	for i := 0; i < 50; i++ {
+		b.WriteString("\ts = v;\n")
+	}
+	b.WriteString("\treturn 0;\n}\n")
+	return []byte(b.String())
+}
+
+// compileBytes compiles src and returns the bytes the compile
+// allocated, and its error.
+func compileBytes(name string, src []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := staticest.Compile(name, src)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
 // A hostile source is one a bound rejects, with the error it must get.
 type hostile struct {
 	name string
@@ -137,15 +163,25 @@ func TestHostileSources(t *testing.T) {
 	// A dense body: one token per byte. The parser streams its tokens,
 	// so the compile holds no slice of all of them.
 	src = []byte("int main(void) {" + strings.Repeat(";", 256<<10) + "}")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := staticest.Compile("semis.c", src)
-	runtime.ReadMemStats(&after)
+	got, err := compileBytes("semis.c", src)
 	if err != nil {
 		t.Fatalf("256 KiB of ';': %v", err)
 	}
 	const limit = 48 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+	if got > limit {
 		t.Errorf("256 KiB of ';' allocated %d bytes to compile, want at most %d", got, limit)
+	}
+
+	// Sem spells out the type in each of its 50 messages. Built by
+	// concatenation, a type's text took time and bytes quadratic in its
+	// height: this source once allocated 1.75 GB to compile.
+	src = tallPointerMessages()
+	got, err = compileBytes("tall.c", src)
+	if err == nil || !strings.Contains(err.Error(), "(and 49 more errors)") {
+		t.Errorf("%d bytes of tall pointer assignments: err = %.200v, want 50 errors", len(src), err)
+	}
+	const tallLimit = 16 << 20
+	if got > tallLimit {
+		t.Errorf("%d bytes of tall pointer assignments allocated %d bytes to compile, want at most %d", len(src), got, tallLimit)
 	}
 }

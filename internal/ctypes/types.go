@@ -6,6 +6,7 @@ package ctypes
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -304,39 +305,62 @@ func Equal(a, b *Type) bool {
 
 // String renders the type in C-ish syntax.
 func (t *Type) String() string {
+	var b strings.Builder
+	t.write(&b)
+	return b.String()
+}
+
+// write appends the type's text to b. A run of pointer levels or of
+// array dimensions is written in one pass after its base, so the text
+// of a type h levels high takes time and space linear in h.
+func (t *Type) write(b *strings.Builder) {
 	if t == nil {
-		return "<nil>"
+		b.WriteString("<nil>")
+		return
 	}
 	switch t.Kind {
 	case Ptr:
 		if t.Elem.Kind == Func {
-			return t.Elem.sigString("(*)")
+			t.Elem.writeSig(b, "(*)")
+			return
 		}
-		return t.Elem.String() + "*"
+		base, stars := t, 0
+		for base.Kind == Ptr && base.Elem.Kind != Func {
+			base, stars = base.Elem, stars+1
+		}
+		base.write(b)
+		for ; stars > 0; stars-- {
+			b.WriteByte('*')
+		}
 	case Array:
 		// Render dimensions outermost-first, as C declarators read.
 		base := t
-		var dims string
 		for base.Kind == Array {
-			dims += fmt.Sprintf("[%d]", base.Len)
 			base = base.Elem
 		}
-		return base.String() + dims
+		base.write(b)
+		var num [20]byte
+		for a := t; a.Kind == Array; a = a.Elem {
+			b.WriteByte('[')
+			b.Write(strconv.AppendInt(num[:0], a.Len, 10))
+			b.WriteByte(']')
+		}
 	case Struct:
 		if t.Info != nil && t.Info.Tag != "" {
-			return "struct " + t.Info.Tag
+			b.WriteString("struct ")
+			b.WriteString(t.Info.Tag)
+			return
 		}
-		return "struct <anon>"
+		b.WriteString("struct <anon>")
 	case Func:
-		return t.sigString("")
+		t.writeSig(b, "")
 	default:
-		return t.Kind.String()
+		b.WriteString(t.Kind.String())
 	}
 }
 
-func (t *Type) sigString(name string) string {
-	var b strings.Builder
-	b.WriteString(t.Sig.Ret.String())
+func (t *Type) writeSig(b *strings.Builder, name string) {
+	t.Sig.Ret.write(b)
 	b.WriteString(" ")
 	b.WriteString(name)
 	b.WriteString("(")
@@ -347,7 +371,7 @@ func (t *Type) sigString(name string) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(p.String())
+			p.write(b)
 		}
 		if t.Sig.Variadic {
 			if len(t.Sig.Params) > 0 {
@@ -357,7 +381,6 @@ func (t *Type) sigString(name string) string {
 		}
 	}
 	b.WriteString(")")
-	return b.String()
 }
 
 // IntegerRank returns the C conversion rank used by the usual arithmetic

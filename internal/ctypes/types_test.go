@@ -1,6 +1,8 @@
 package ctypes
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +153,40 @@ func TestTypeStrings(t *testing.T) {
 	for want, typ := range cases {
 		if got := typ.String(); got != want {
 			t.Errorf("String = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestTypeStringLinear renders a pointer chain and an array chain of
+// 8,192 levels, twice cparse.MaxDepth: a typedef and a declarator can
+// each stack that many. Text built by concatenation, level by level,
+// allocated bytes quadratic in the height (33 MB for the pointer
+// chain); written into one builder it is a small multiple of the text,
+// the builder's growth.
+func TestTypeStringLinear(t *testing.T) {
+	const levels = 8192
+	ptr, arr := IntType, IntType
+	for i := 0; i < levels; i++ {
+		ptr = PointerTo(ptr)
+		arr = ArrayOf(arr, 1)
+	}
+	for _, c := range []struct {
+		name string
+		typ  *Type
+		want string
+	}{
+		{"pointer chain", ptr, "int" + strings.Repeat("*", levels)},
+		{"array chain", arr, "int" + strings.Repeat("[1]", levels)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := c.typ.String()
+		runtime.ReadMemStats(&after)
+		if got != c.want {
+			t.Errorf("%s: String is %d bytes, want %d", c.name, len(got), len(c.want))
+		}
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(c.want)); n > limit {
+			t.Errorf("%s: String allocated %d bytes for %d bytes of text, want at most %d", c.name, n, len(c.want), limit)
 		}
 	}
 }

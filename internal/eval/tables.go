@@ -126,13 +126,13 @@ func Figure3() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	freq := est.StmtFreqOf(0)
+	freq := est.StmtFreqOf(u.CFG.Graphs[0])
 	var sb strings.Builder
 	sb.WriteString("Figure 3: AST for strchr with estimated counts (smart heuristic)\n")
 	sb.WriteString("count   node\n")
 	var body strings.Builder
 	cast.FprintTree(&body, u.Sem.Funcs[0], func(s cast.Stmt) string {
-		if f, ok := freq[s]; ok {
+		if f, ok := freq.Of(s); ok {
 			return fmt.Sprintf("%.1f", f)
 		}
 		return ""

@@ -56,9 +56,7 @@ func SpillWeights(cp *cfg.Program, fi int, src *Source) []SpillWeight {
 	for _, blk := range cp.Graphs[fi].Blocks {
 		freq := src.Block[fi][blk.ID]
 		for _, s := range blk.Stmts {
-			for _, e := range cast.StmtExprs(s) {
-				count(e, freq)
-			}
+			cast.StmtExprs(s, func(e cast.Expr) { count(e, freq) })
 		}
 		for _, e := range []cast.Expr{blk.Cond, blk.Tag, blk.RetVal} {
 			if e != nil {

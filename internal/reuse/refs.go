@@ -129,9 +129,7 @@ func BuildTable(cp *cfg.Program) *Table {
 				})
 			}
 			for _, s := range blk.Stmts {
-				for _, e := range cast.StmtExprs(s) {
-					attach(e)
-				}
+				cast.StmtExprs(s, attach)
 			}
 			attach(blk.Cond)
 			attach(blk.Tag)
@@ -388,9 +386,7 @@ func walkLoopExprs(s cast.Stmt, loops []cast.Stmt, fn func(e cast.Expr, loops []
 	case *cast.Labeled:
 		walkLoopExprs(x.Stmt, loops, fn)
 	default:
-		for _, e := range cast.StmtExprs(s) {
-			fn(e, loops)
-		}
+		cast.StmtExprs(s, func(e cast.Expr) { fn(e, loops) })
 	}
 }
 

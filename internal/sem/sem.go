@@ -257,18 +257,36 @@ func (c *checker) checkFunc(fd *cast.FuncDecl) {
 		}
 	}
 
-	// Collect labels first so forward gotos resolve.
+	// Collect labels first so forward gotos resolve. The same walk
+	// numbers the statements, a for loop's init and post wrappers too
+	// (WalkStmt skips them), so the AST-walk estimators can keep one
+	// frequency per statement in a slice.
 	labels := map[string]bool{}
+	fn, n := fd.Obj.FuncIndex, 0
+	number := func(s cast.Stmt) {
+		s.SetNumber(fn, n)
+		n++
+	}
 	cast.WalkStmt(fd.Body, func(s cast.Stmt) bool {
-		if l, ok := s.(*cast.Labeled); ok {
-			if labels[l.Label] {
-				c.errorf(l.P, "duplicate label %q", l.Label)
+		number(s)
+		switch x := s.(type) {
+		case *cast.Labeled:
+			if labels[x.Label] {
+				c.errorf(x.P, "duplicate label %q", x.Label)
 			}
-			labels[l.Label] = true
-			fd.Labels = append(fd.Labels, l.Label)
+			labels[x.Label] = true
+			fd.Labels = append(fd.Labels, x.Label)
+		case *cast.For:
+			if x.InitS != nil {
+				number(x.InitS)
+			}
+			if x.PostS != nil {
+				number(x.PostS)
+			}
 		}
 		return true
 	})
+	fd.NumStmts = n
 
 	c.checkStmt(fd.Body, fnScope, labels)
 	fd.FrameSize = alignUp(c.frameOff, 8)

@@ -10,6 +10,7 @@ import (
 	"staticest/internal/cparse"
 	"staticest/internal/ctypes"
 	"staticest/internal/sem"
+	"staticest/internal/suite"
 )
 
 func analyze(t *testing.T, src string) *sem.Program {
@@ -106,6 +107,80 @@ int f(int a) {
 	}
 	if len(sp.SwitchSites) != 1 {
 		t.Errorf("%d switch sites, want 1", len(sp.SwitchSites))
+	}
+}
+
+// checkStmtNumbers checks that every statement of every function of sp,
+// a for loop's init and post wrappers included, has its function's
+// index and a number of its own below the function's count, and that
+// the numbers are dense.
+func checkStmtNumbers(t *testing.T, name string, sp *sem.Program) {
+	t.Helper()
+	for fi, fd := range sp.Funcs {
+		seen := make([]bool, fd.NumStmts)
+		count := 0
+		check := func(s cast.Stmt) {
+			count++
+			fn, n := s.Number()
+			switch {
+			case fn != fi:
+				t.Errorf("%s: %s: %q numbered in function %d, want %d", name, fd.Name(), cast.StmtLabel(s), fn, fi)
+			case n < 0 || n >= fd.NumStmts:
+				t.Errorf("%s: %s: %q has number %d, want below %d", name, fd.Name(), cast.StmtLabel(s), n, fd.NumStmts)
+			case seen[n]:
+				t.Errorf("%s: %s: %q has number %d, which another statement has", name, fd.Name(), cast.StmtLabel(s), n)
+			default:
+				seen[n] = true
+			}
+		}
+		cast.WalkStmt(fd.Body, func(s cast.Stmt) bool {
+			check(s)
+			if f, ok := s.(*cast.For); ok {
+				if f.InitS != nil {
+					check(f.InitS)
+				}
+				if f.PostS != nil {
+					check(f.PostS)
+				}
+			}
+			return true
+		})
+		if count != fd.NumStmts {
+			t.Errorf("%s: %s: %d statements, NumStmts %d", name, fd.Name(), count, fd.NumStmts)
+		}
+	}
+}
+
+func TestStmtNumbering(t *testing.T) {
+	sp := analyze(t, `
+int g(int a) { return a; }
+int f(int a) {
+	int i;
+	for (i = 0; i < a; i++) { if (i) continue; else a--; }
+	for (;;) break;
+	while (a) { a--; }
+	do ; while (0);
+	switch (a) { case 1: a++; case 2: { g(a); } break; default: ; }
+again:
+	if (a > 100) goto again;
+	return g(a);
+}
+int main(void) { return f(3); }`)
+	checkStmtNumbers(t, "t.c", sp)
+	f := sp.FuncByName["f"]
+	loop := f.Body.Stmts[1].(*cast.For)
+	if fn, _ := loop.InitS.Number(); fn != 1 {
+		t.Errorf("for init numbered in function %d, want 1", fn)
+	}
+	if fn, n := cast.NewExprStmt(loop.Init).Number(); fn != -1 || n != 0 {
+		t.Errorf("a synthetic statement has numbers (%d, %d), want (-1, 0)", fn, n)
+	}
+	for _, p := range suite.Programs() {
+		u, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStmtNumbers(t, p.Name, u.Sem)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -132,15 +131,15 @@ func (c *compiled) response(key string, build func() (any, error)) ([]byte, erro
 // encodeBody serializes a response value exactly the way the api
 // middleware encodes non-memoized responses (two-space indent plus the
 // encoder's trailing newline), so memoized and freshly-encoded replies
-// are byte-identical.
+// are byte-identical. MarshalIndent sizes its output from the compact
+// encoding, where an Encoder into an empty buffer grows two buffers by
+// doubling.
 func encodeBody(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return append(b, '\n'), nil
 }
 
 // unitCache is the server's one table of compiled units, keyed by

@@ -8,6 +8,9 @@ package server
 // compilation per key, and byte-identical memoized bodies.
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -20,6 +23,7 @@ import (
 	"testing"
 
 	"staticest"
+	"staticest/internal/gen"
 	"staticest/internal/ingest"
 	"staticest/internal/obs"
 )
@@ -403,5 +407,39 @@ func TestResponseMemoBound(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Errorf("overflow key built %d times, want 2 (not memoized past the bound)", calls.Load())
+	}
+}
+
+// TestEncodeBodyMatchesEncoder checks that memoized estimate replies are
+// byte-identical to what the api middleware's Encoder writes for an
+// unmemoized reply, with and without the reuse section, on the
+// CompilePhases pool and on a unit whose name needs escaping.
+func TestEncodeBodyMatchesEncoder(t *testing.T) {
+	units := compilePhasesPool(t)
+	odd, err := staticest.Compile("a<b>&\"c\x01.c", gen.Source(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units = append(units, &compiled{unit: odd, fingerprint: fakeKey(7)})
+	for _, c := range units {
+		for _, reuse := range []bool{false, true} {
+			v, err := buildEstimate(context.Background(), c, 10, reuse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := encodeBody(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s (reuse %t): encodeBody differs from the Encoder's %d bytes", c.unit.Name, reuse, want.Len())
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"staticest"
 	"staticest/internal/gen"
 	"staticest/internal/obs"
+	"staticest/internal/suite"
 )
 
 // benchServer builds a server whose cache holds hotSet prewarmed
@@ -105,4 +107,58 @@ func reportPercentilesInternal(b *testing.B, h *obs.Histogram) {
 	b.ReportMetric(h.Quantile(0.50)*1e9, "p50-ns")
 	b.ReportMetric(h.Quantile(0.99)*1e9, "p99-ns")
 	b.ReportMetric(h.Quantile(0.999)*1e9, "p999-ns")
+}
+
+// compilePhasesPool compiles the pool BenchmarkCompilePhases runs on:
+// the 14 suite programs plus 32 generated ones whose seeds a fixed-seed
+// generator draws, under the same names.
+func compilePhasesPool(tb testing.TB) []*compiled {
+	tb.Helper()
+	type input struct {
+		name string
+		src  []byte
+	}
+	var pool []input
+	for _, p := range suite.Programs() {
+		pool = append(pool, input{p.Name + ".c", []byte(p.Source)})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		seed := rng.Int63()
+		pool = append(pool, input{fmt.Sprintf("gen%d.c", seed), gen.Source(seed)})
+	}
+	out := make([]*compiled, len(pool))
+	for i, in := range pool {
+		u, err := staticest.Compile(in.name, in.src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = &compiled{unit: u, fingerprint: staticest.Fingerprint(in.src)}
+	}
+	return out
+}
+
+// BenchmarkEncodeEstimate times the encoding of estimate replies, the
+// last step of a cache miss on /v1/estimate and of each batch item:
+// set-up builds the default estimate reply of every unit in
+// BenchmarkCompilePhases' pool, and one op encodes them all.
+func BenchmarkEncodeEstimate(b *testing.B) {
+	units := compilePhasesPool(b)
+	replies := make([]any, len(units))
+	for i, c := range units {
+		v, err := buildEstimate(context.Background(), c, 10, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replies[i] = v
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range replies {
+			if _, err := encodeBody(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

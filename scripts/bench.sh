@@ -5,9 +5,10 @@
 #
 #   BENCH_interp.json  interpreter, probe-profiling, observability, and
 #                      the cold compile-and-estimate phases
-#   BENCH_serve.json   serving paths (estimate cache hits, fleet ingest),
-#                      including p50/p99/p999 tail latency reported by
-#                      the benchmarks as custom p*-ns metrics
+#   BENCH_serve.json   serving paths (estimate cache hits, fleet ingest,
+#                      estimate reply encoding), including p50/p99/p999
+#                      tail latency reported by the benchmarks as custom
+#                      p*-ns metrics
 #
 # Alongside each JSON snapshot the raw `go test -bench` stream is kept
 # as FILE.bench (benchstat / cmd/benchdiff input format; not committed).
@@ -135,7 +136,7 @@ bench_family() {
 }
 
 interp_filter=${BENCH_FILTER:-'InterpretCompress|InlineXlisp|ProbeProfiling|ReuseTrace|ObsEnabled|CompilePhases|NilObserverSpan|NilCounterAdd|CounterAdd|SpanStartEnd|HistogramObserve'}
-serve_filter=${BENCH_SERVE_FILTER:-'ServeEstimate|ServeBatch|^BenchmarkIngest$'}
+serve_filter=${BENCH_SERVE_FILTER:-'ServeEstimate|ServeBatch|^BenchmarkIngest$|EncodeEstimate'}
 
 bench_family "$interp_filter" "${BENCH_OUT:-BENCH_interp.json}" . ./internal/obs
 bench_family "$serve_filter" "${BENCH_SERVE_OUT:-BENCH_serve.json}" ./internal/server
